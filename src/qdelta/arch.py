@@ -1,5 +1,8 @@
 """Archimedean layer: smooth weights, the delta-method kernel, oscillatory
-integrals, the singular integral, and the exceptional-term integrals.
+integrals and the singular integral.
+
+Every integrand is w(t) g(F(t) - m0) on a tensor grid; w and F are evaluated
+by broadcasting the three 1-D axes (np.ix_), never on a stacked point array.
 
 The kernel h(x, y) = sum_{j>=1} (xj)^{-1} [omega(xj) - omega(|y|/(xj))] is
 built from a bump omega supported on [1/2, 1].  Two exact facts drive the
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,7 +33,7 @@ import numpy as np
 from scipy import integrate
 
 from .modarith import ramanujan_sum
-from .qform import ProblemInstance, QForm
+from .qform import ProblemInstance, QForm, form_values
 
 _TEMPERING_DEFAULT = 0.4
 _SKEW_DEFAULT = -0.25
@@ -70,12 +73,17 @@ class WeightSpec:
         t = np.asarray(t, dtype=np.float64)
         scalar = t.ndim == 1
         pts = np.atleast_2d(t)
-        d = (pts - np.asarray(self.center)) / self.radius
-        if self.profile == "ball":
-            vals = _bump_profile(np.sqrt(np.sum(d * d, axis=-1)))
-        else:
-            vals = _bump_profile(d[..., 0]) * _bump_profile(d[..., 1]) * _bump_profile(d[..., 2])
+        vals = self.values(pts[..., 0], pts[..., 1], pts[..., 2])
         return float(vals[0]) if scalar else vals
+
+    def values(self, x1, x2, x3) -> np.ndarray:
+        """w on coordinate arrays broadcast against each other (open axes
+        give w on the tensor grid without building the point array)."""
+        d1, d2, d3 = ((np.asarray(x, dtype=np.float64) - c) / self.radius
+                      for x, c in zip((x1, x2, x3), self.center))
+        if self.profile == "ball":
+            return _bump_profile(np.sqrt(d1 * d1 + d2 * d2 + d3 * d3))
+        return _bump_profile(d1) * _bump_profile(d2) * _bump_profile(d3)
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
@@ -85,30 +93,14 @@ class WeightSpec:
         """Numerical check that Supp(w) meets {F = m0}: the sign of F - m0
         changes across sample points where w > 0."""
         lo, hi = self.support_box()
-        axes = [np.linspace(lo[i], hi[i], samples) for i in range(3)]
-        g1, g2, g3 = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g1, g2, g3], axis=-1).reshape(-1, 3)
-        w = self(pts)
-        f = _form_values(form, pts) - m0
+        axes = np.ix_(*(np.linspace(lo[i], hi[i], samples) for i in range(3)))
+        w = self.values(*axes)
+        f = form_values(form, *axes) - m0
         inside = w > 1e-12
         if not inside.any():
             return False
         fi = f[inside]
         return bool(fi.min() < 0 < fi.max())
-
-
-def weight_eval(w: WeightSpec, t) -> float:
-    return float(w(np.asarray(t, dtype=np.float64)))
-
-
-def _form_values(form: QForm, pts: np.ndarray) -> np.ndarray:
-    """F on an (n, 3) float array."""
-    x1, x2, x3 = pts[..., 0], pts[..., 1], pts[..., 2]
-    a11, a22, a33, a12, a13, a23 = form.coefficients()
-    return (
-        a11 * x1 * x1 + a22 * x2 * x2 + a33 * x3 * x3
-        + a12 * x1 * x2 + a13 * x1 * x3 + a23 * x2 * x3
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +209,6 @@ class DeltaKernel:
         return max(1.0, 2.0 * abs(y_max))
 
 
-def h_eval(kernel: DeltaKernel, x: float, y: float) -> float:
-    return kernel.h(x, y)
-
-
 def delta_symbol(kernel: DeltaKernel, n: int, q_max: int | None = None) -> float:
     """(1/Q^2) sum_{q <= q_max} c_q(n) h(q/Q, n/Q^2), the smoothed indicator
     of n = 0.  The unit-coprime a-sum is the Ramanujan sum c_q(n)."""
@@ -290,6 +278,13 @@ def _gl_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
+def _gl_box(weight: WeightSpec, nodes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Gauss-Legendre nodes and weights along each axis of the support box."""
+    lo, hi = weight.support_box()
+    pairs = [_gl_axis(float(lo[i]), float(hi[i]), nodes[i]) for i in range(3)]
+    return [x for x, _ in pairs], [w for _, w in pairs]
+
+
 def _amplitude_grid(
     instance: ProblemInstance,
     kernel: DeltaKernel,
@@ -301,20 +296,13 @@ def _amplitude_grid(
     grid over the weight support box; returns (axes, axis weights, amplitude
     array).  yscale != 1 arises when the kernel scale is decoupled from the
     geometric scale sqrt(N)/L."""
-    w = instance.weight
-    lo, hi = w.support_box()
-    axes, wts = [], []
-    for i in range(3):
-        x, ww = _gl_axis(float(lo[i]), float(hi[i]), nodes[i])
-        axes.append(x)
-        wts.append(ww)
-    g1, g2, g3 = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g1, g2, g3], axis=-1)
-    amp = w(pts.reshape(-1, 3)).reshape(g1.shape)
+    axes, wts = _gl_box(instance.weight, nodes)
+    grid = np.ix_(*axes)
+    amp = instance.weight.values(*grid)
     mask = amp > 0.0
     if np.any(mask):
-        y = yscale * (_form_values(instance.form, pts)[mask] - instance.m0)
-        hvals = np.zeros(g1.shape)
+        y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
+        hvals = np.zeros(amp.shape)
         hvals[mask] = kernel.h_many(r, y)
         amp = amp * hvals
     return axes, wts, amp
@@ -382,17 +370,10 @@ class SingularIntegral:
 
 def _mollified(instance: ProblemInstance, eps: float, nodes: int) -> float:
     """int w(t) phi_eps(F(t) - m0) dt with a Gaussian phi_eps."""
-    w = instance.weight
-    lo, hi = w.support_box()
-    axes, wts = [], []
-    for i in range(3):
-        x, ww = _gl_axis(float(lo[i]), float(hi[i]), nodes)
-        axes.append(x)
-        wts.append(ww)
-    g1, g2, g3 = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g1, g2, g3], axis=-1)
-    amp = w(pts.reshape(-1, 3)).reshape(g1.shape)
-    y = _form_values(instance.form, pts) - instance.m0
+    axes, wts = _gl_box(instance.weight, (nodes, nodes, nodes))
+    grid = np.ix_(*axes)
+    amp = instance.weight.values(*grid)
+    y = form_values(instance.form, *grid) - instance.m0
     amp = amp * np.exp(-0.5 * (y / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
     return float(np.einsum("ijk,i,j,k->", amp, wts[0], wts[1], wts[2]))
 
@@ -409,7 +390,7 @@ def coarea_integral(instance: ProblemInstance, nodes: int = 160) -> tuple[float,
         lo, hi = instance.weight.support_box()
         x1, w1 = _gl_axis(float(lo[0]), float(hi[0]), n)
         x2, w2 = _gl_axis(float(lo[1]), float(hi[1]), n)
-        g1, g2 = np.meshgrid(x1, x2, indexing="ij")
+        g1, g2 = np.ix_(x1, x2)
         bb = a13 * g1 + a23 * g2
         cc = a11 * g1 * g1 + a22 * g2 * g2 + a12 * g1 * g2 - instance.m0
         disc = bb * bb - 4.0 * a33 * cc
@@ -418,11 +399,10 @@ def coarea_integral(instance: ProblemInstance, nodes: int = 160) -> tuple[float,
             with np.errstate(invalid="ignore"):
                 root = (-bb + sign * np.sqrt(np.where(disc > 0, disc, np.nan))) / (2.0 * a33)
             grad3 = 2.0 * a33 * root + bb
-            pts = np.stack([g1, g2, root], axis=-1).reshape(-1, 3)
-            ok = np.isfinite(root.reshape(-1)) & (np.abs(grad3.reshape(-1)) > 1e-12)
-            vals = np.zeros(pts.shape[0])
-            vals[ok] = instance.weight(pts[ok]) / np.abs(grad3.reshape(-1)[ok])
-            total += float(np.einsum("ij,i,j->", vals.reshape(n, n), w1, w2))
+            ok = np.isfinite(root) & (np.abs(grad3) > 1e-12)
+            vals = np.zeros((n, n))
+            vals[ok] = instance.weight.values(g1, g2, root)[ok] / np.abs(grad3[ok])
+            total += float(np.einsum("ij,i,j->", vals, w1, w2))
         return total
 
     v1, v2 = run(nodes), run(int(nodes * 1.4))
@@ -453,69 +433,9 @@ def singular_integral(
     return SingularIntegral(value=r2, error=err, coarea_value=cv, coarea_error=ce, converged=converged)
 
 
-# ---------------------------------------------------------------------------
-# Exceptional-term integrals
-# ---------------------------------------------------------------------------
-
-
-def J_integrals(
-    instance: ProblemInstance,
-    c,
-    u: int,
-    quad: QuadratureSpec = QuadratureSpec(),
-    r_min: float = 1e-3,
-    kernel: DeltaKernel | None = None,
-    panels: int = 10,
-    panel_nodes: int = 6,
-) -> tuple[complex, complex, float]:
-    """The twisted and untwisted r-integrals over (r_min, r_sup):
-
-    J_u(c)  = int e_{Delta_F r}(u^2 L^3 N(c)) I_r(w; c/L) / r dr,
-    J(c)    = the same without the twist,
-
-    where N(c) is the exact integer square root of m0 Delta_F F*(c).
-    Returns (twisted, untwisted, tail diagnostic for the discarded (0, r_min)).
-    """
-    from .qform import CClass, classify_c, evaluate
-
-    cls = classify_c(instance, c)
-    if cls.name == "ORDINARY":
-        raise ValueError("J integrals are defined for exceptional c only")
-    prod = instance.m0 * instance.form.det() * evaluate(instance.form.dual(), c)
-    if prod < 0:
-        raise ValueError("m0 * det * F*(c) must be a nonnegative square")
-    ncal = math.isqrt(prod)
-    if ncal * ncal != prod:
-        raise ValueError("m0 * det * F*(c) is not a perfect square")
-    if r_min <= 0:
-        raise ValueError("r_min must be positive")
-    if kernel is None:
-        kernel = DeltaKernel(Q=max(float(instance.Q), 1.0 + 1e-9))
-    y_max = form_range(instance)
-    r_sup = kernel.support_bound(y_max)
-    b = tuple(ci / instance.L for ci in c)
-    twist_coeff = u * u * instance.L**3 * ncal / instance.form.det()
-
-    edges = np.geomspace(r_min, r_sup, panels + 1)
-    twisted = 0j
-    plain = 0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs, ws = _gl_axis(float(lo), float(hi), panel_nodes)
-        for r, wr in zip(xs, ws):
-            val, _ = osc_integral(instance, float(r), b, quad, kernel)
-            plain += wr * val / r
-            twisted += wr * val / r * np.exp(2j * np.pi * twist_coeff / r)
-    # tail model from the harder estimate |I_r| << (r/|b|)^{1/2}
-    bnorm = max(1.0, math.sqrt(sum(float(x) ** 2 for x in b)))
-    tail = 2.0 * math.sqrt(r_min / bnorm)
-    return complex(twisted), complex(plain), tail
-
-
 def form_range(instance: ProblemInstance, samples: int = 33) -> float:
     """max |F(t) - m0| over the weight support box (sampled, 5% margin)."""
     lo, hi = instance.weight.support_box()
-    axes = [np.linspace(float(lo[i]), float(hi[i]), samples) for i in range(3)]
-    g1, g2, g3 = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g1, g2, g3], axis=-1)
-    y = np.abs(_form_values(instance.form, pts) - instance.m0)
+    axes = np.ix_(*(np.linspace(float(lo[i]), float(hi[i]), samples) for i in range(3)))
+    y = np.abs(form_values(instance.form, *axes) - instance.m0)
     return 1.05 * float(y.max())

@@ -13,16 +13,13 @@ import argparse
 import csv
 import hashlib
 import json
-import math
-import os
 import sys
 import time
 from pathlib import Path
 
-from .arch import DeltaKernel, QuadratureSpec, WeightSpec, delta_symbol, singular_integral
-from .expsums import brute_S, brute_S1, brute_S2, crt_split, lemma21_eval
-from .localdens import sigma_p, sigma_p0_cone, singular_series
-from .modarith import primes_up_to
+from .arch import DeltaKernel, QuadratureSpec, WeightSpec, delta_symbol
+from .expsums import crt_split, sqc_value
+from .localdens import singular_series
 from .pipeline import (
     enumerate_gamma,
     extract_secondary,
@@ -31,8 +28,6 @@ from .pipeline import (
     predict_main,
 )
 from .qform import CClass, CongruenceDatum, ProblemInstance, QForm, classify_c
-
-_BRUTE_S_BOUND = 200
 
 
 class ConfigError(Exception):
@@ -240,13 +235,7 @@ def cmd_expsum(args, cfg) -> int:
         for q in range(q_lo, q_hi + 1):
             q1, q2 = crt_split(instance, q)
             for c in c_list:
-                if q * instance.L <= _BRUTE_S_BOUND:
-                    val = brute_S(instance, q, c).value
-                elif q1 % 2 == 1 and math.gcd(q1, instance.mN) == 1:
-                    val = lemma21_eval(instance, q1, q2, c).value * brute_S2(instance, q1, q2, c).value
-                else:
-                    val = brute_S1(instance, q1, q2, c).value * brute_S2(instance, q1, q2, c).value
-                val = complex(val)
+                val = sqc_value(instance, q, c)
                 writer.writerow(
                     [q, q1, q2, c[0], c[1], c[2],
                      repr(val.real), repr(val.imag), repr(abs(val)), _class_tag(instance, c)]
@@ -262,16 +251,15 @@ def cmd_density(args, cfg) -> int:
     outdir = Path(args.out)
     path = outdir / "density.csv"
     series = singular_series(instance, p_max)
-    euler = dict(series.factors)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p", "k_star", "count", "density_num", "density_den", "euler_factor"])
-        for p in primes_up_to(p_max):
-            dens = sigma_p0_cone(instance) if p == instance.p0 else sigma_p(instance, p)
+        for dens, (p, euler) in zip(series.densities, series.factors):
+            if p > p_max:
+                continue  # the cone factor at p0 enters the series even beyond p_max
             writer.writerow(
                 [p, dens.k_star, dens.count,
-                 dens.value.numerator, dens.value.denominator,
-                 repr(euler.get(p, float(dens.value)))]
+                 dens.value.numerator, dens.value.denominator, repr(euler)]
             )
     print(f"config {config_sha256(cfg)}")
     print(f"singular series (p <= {p_max}): {series.value!r} drift {series.drift!r}")
@@ -398,18 +386,12 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker thread budget")
     parser.add_argument(
         "--deterministic",
         action="store_true",
         help="zero wall times for byte-identical outputs",
     )
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(args.threads))
     try:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

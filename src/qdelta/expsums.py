@@ -22,12 +22,15 @@ from functools import lru_cache
 import numpy as np
 import sympy
 
-from .modarith import jacobi, mobius, quadratic_roots, ramanujan_sum, smooth_part
-from .qform import ProblemInstance, evaluate
+from .modarith import jacobi, mobius, quadratic_roots, smooth_part
+from .qform import ProblemInstance, evaluate, form_values
 
 _BRUTE_MODULUS_BOUND = 10**4
 _CALS_BOUND = 10**4
 _CALA_BOUND = 3000
+# Largest qL whose S_q(c) comes from a (qL)^3 residue table (sqc_grid) or the
+# definition (brute_S); beyond it, sqc_value takes the CRT split.
+GRID_MODULUS_BOUND = 200
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,13 @@ class ComplexSum:
 
     def __abs__(self) -> float:
         return abs(self.value)
+
+
+def _residue_axes(size: int, scale: int = 1, lam=(0, 0, 0)):
+    """Open axes scale*s + lam_i, s = 0..size-1: broadcast together they
+    span the (size)^3 residue grid."""
+    s = np.arange(size, dtype=np.int64)
+    return np.ix_(*(scale * s + v for v in lam))
 
 
 def _exp_table(n: int) -> np.ndarray:
@@ -259,21 +269,10 @@ def brute_S1_grid(instance: ProblemInstance, q1: int, q2: int) -> np.ndarray:
     """S1 for every c mod q1 at once (FFT over the sigma grid)."""
     _check_modulus(q1)
     L2 = instance.L * instance.L
-    lam = instance.lam_N
-    mN = instance.mN
-    r = np.arange(q1, dtype=np.int64)
-    s1, s2, s3 = np.meshgrid(r, r, r, indexing="ij")
-    g = _form_rows_full(instance.form, q2 * L2 * s1 + lam[0], q2 * L2 * s2 + lam[1], q2 * L2 * s3 + lam[2]) - mN
+    x = _residue_axes(q1, q2 * L2, instance.lam_N)
+    g = form_values(instance.form, *x) - instance.mN
     amp = _ramanujan_vector(q1, g).astype(np.float64)
     return np.conj(np.fft.fftn(amp))
-
-
-def _form_rows_full(form, x1, x2, x3):
-    a11, a22, a33, a12, a13, a23 = form.coefficients()
-    return (
-        a11 * x1 * x1 + a22 * x2 * x2 + a33 * x3 * x3
-        + a12 * x1 * x2 + a13 * x1 * x3 + a23 * x2 * x3
-    )
 
 
 def brute_S2(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
@@ -354,20 +353,24 @@ def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
 # ---------------------------------------------------------------------------
 
 
+def _locus_amplitude(instance: ProblemInstance, l: int, target: int, lam):
+    """A(beta) = c_l((F(beta) - target)/L^2) for beta mod lL^2 on the locus
+    beta = lam mod L, L^2 | F(beta) - target, else 0.  Returns (A, the open
+    beta axes, the locus size)."""
+    L = instance.L
+    L2 = L * L
+    b = _residue_axes(l * L2)
+    g = form_values(instance.form, *b) - target
+    mask = (g % L2 == 0) & (b[0] % L == lam[0]) & (b[1] % L == lam[1]) & (b[2] % L == lam[2])
+    amp = np.where(mask, _ramanujan_vector(l, np.where(mask, g // L2, 0)), 0).astype(np.float64)
+    return amp, b, int(mask.sum())
+
+
 def _cal_grid(instance: ProblemInstance, l: int) -> tuple[np.ndarray, int]:
     """FFT table G with G[k] = sum_beta A(beta) e_{lL^2}(k.beta), where
     A(beta) = c_l((F(beta)-m0N)/L^2) on the congruence locus, else 0."""
-    L = instance.L
-    mod = l * L * L
-    lam = instance.lam_N
-    mN = instance.mN
-    L2 = L * L
-    r = np.arange(mod, dtype=np.int64)
-    b1, b2, b3 = np.meshgrid(r, r, r, indexing="ij")
-    g = _form_rows_full(instance.form, b1, b2, b3) - mN
-    mask = (g % L2 == 0) & (b1 % L == lam[0]) & (b2 % L == lam[1]) & (b3 % L == lam[2])
-    amp = np.where(mask, _ramanujan_vector(l, np.where(mask, g // L2, 0)), 0).astype(np.float64)
-    return np.conj(np.fft.fftn(amp)), int(mask.sum())
+    amp, _, nsol = _locus_amplitude(instance, l, instance.mN, instance.lam_N)
+    return np.conj(np.fft.fftn(amp)), nsol
 
 
 @lru_cache(maxsize=64)
@@ -425,10 +428,8 @@ def calT1(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
     if math.gcd(x, flat) != 1:
         raise ValueError("require gcd(x, q2_flat) = 1")
     xinv = pow(x % flat, -1, flat)
-    r = np.arange(flat, dtype=np.int64)
-    b1, b2, b3 = np.meshgrid(r, r, r, indexing="ij")
-    g = _form_rows_full(instance.form, b1, b2, b3)
-    amp = _ramanujan_vector(flat, g).astype(np.float64)
+    b1, b2, b3 = _residue_axes(flat)
+    amp = _ramanujan_vector(flat, form_values(instance.form, b1, b2, b3)).astype(np.float64)
     tab = _exp_table(flat)
     phase = tab[((xinv * (c[0] * b1 + c[1] * b2 + c[2] * b3)) % flat)]
     val = complex(np.sum(amp * phase))
@@ -447,28 +448,13 @@ def calT2(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
     _check_modulus(mod)
     if math.gcd(x, mod) != 1:
         raise ValueError("require gcd(x, q2_nat L^2) = 1")
-    lam = instance.cong.lam
-    m0 = instance.m0
-    L2 = L * L
     xinv = pow(x % mod, -1, mod) if mod > 1 else 0
-    r = np.arange(mod, dtype=np.int64)
-    b1, b2, b3 = np.meshgrid(r, r, r, indexing="ij")
-    g = _form_rows_full(instance.form, b1, b2, b3) - m0
-    mask = (g % L2 == 0) & (b1 % L == lam[0]) & (b2 % L == lam[1]) & (b3 % L == lam[2])
-    amp = np.where(mask, _ramanujan_vector(nat, np.where(mask, g // L2, 0)), 0).astype(np.float64)
+    amp, (b1, b2, b3), nsol = _locus_amplitude(instance, nat, instance.m0, instance.cong.lam)
     tab = _exp_table(mod)
     phase = tab[((xinv * (c[0] * b1 + c[1] * b2 + c[2] * b3)) % mod)]
     val = complex(np.sum(amp * phase))
     phi = int(sympy.totient(nat))
-    return ComplexSum(val, phi * int(mask.sum()))
-
-
-def ord_p(n: int, p: int) -> int:
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
+    return ComplexSum(val, phi * nsol)
 
 
 def sqc_grid(instance: ProblemInstance, q: int) -> np.ndarray:
@@ -480,12 +466,22 @@ def sqc_grid(instance: ProblemInstance, q: int) -> np.ndarray:
     L = instance.L
     qL = q * L
     _check_modulus(qL)
-    lam = instance.lam_N
-    mN = instance.mN
     L2 = L * L
-    r = np.arange(qL, dtype=np.int64)
-    s1, s2, s3 = np.meshgrid(r, r, r, indexing="ij")
-    g = _form_rows_full(instance.form, L * s1 + lam[0], L * s2 + lam[1], L * s3 + lam[2]) - mN
+    g = form_values(instance.form, *_residue_axes(qL, L, instance.lam_N)) - instance.mN
     mask = g % L2 == 0
     amp = np.where(mask, _ramanujan_vector(q, np.where(mask, g // L2, 0)), 0).astype(np.float64)
     return np.conj(np.fft.fftn(amp))
+
+
+def sqc_value(instance: ProblemInstance, q: int, c) -> complex:
+    """S_q(c) at one c: the definition (brute_S) up to qL = GRID_MODULUS_BOUND,
+    beyond it the CRT split S1 * S2 with S1 in closed form where Lemma 2.1
+    applies (q1 odd and prime to m0 N), else by its definition."""
+    if q * instance.L <= GRID_MODULUS_BOUND:
+        return complex(brute_S(instance, q, c).value)
+    q1, q2 = crt_split(instance, q)
+    if q1 % 2 == 1 and math.gcd(q1, instance.mN) == 1:
+        s1 = lemma21_eval(instance, q1, q2, c).value
+    else:
+        s1 = brute_S1(instance, q1, q2, c).value
+    return complex(s1 * brute_S2(instance, q1, q2, c).value)

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from .modarith import euler_phi, factorize, is_square, jacobi, primes_up_to
-from .qform import ProblemInstance, QForm, RealCharacter, psi0
+from .modarith import factorize, is_square, jacobi, primes_up_to
+from .qform import ProblemInstance, QForm, psi0
 
 _BOX_BOUND = 10**4  # largest p^k enumerated directly
 _CELL_BUDGET = 3 * 10**8
@@ -53,6 +53,7 @@ class SingularSeries:
     p_max: int
     value: float
     factors: tuple[tuple[int, float], ...]  # (p, euler factor) ascending
+    densities: tuple[LocalDensity, ...]  # the sigma_p behind each factor, same order
     drift: float  # change over the last decade of primes (tail proxy)
     obstructed_at: int | None  # prime with sigma_p = 0, if any
 
@@ -134,7 +135,7 @@ def count_solutions(
     r2 = (cong_residue[1] % step) + step * np.arange(per_axis, dtype=np.int64)
     r3 = (cong_residue[2] % step) + step * np.arange(per_axis, dtype=np.int64)
     a11, a22, a33, a12, a13, a23 = form.coefficients()
-    g2, g3 = np.meshgrid(r2, r3, indexing="ij")
+    g2, g3 = np.ix_(r2, r3)
     base = (a22 * g2 * g2 + a33 * g3 * g3 + a23 * g2 * g3 - target) % pk
     total = 0
     for x1 in r1:
@@ -301,20 +302,12 @@ def singular_series(instance: ProblemInstance, p_max: int = 300) -> SingularSeri
         chi = char(p) if p % 2 == 1 and math.gcd(p, 2 * abs(char.disc)) == 1 else 0
         return 1.0 - chi / p
 
-    factors: list[tuple[int, float]] = []
-    obstructed: int | None = None
     cone = sigma_p0_cone(instance)
-    factors.append((instance.p0, convergence(instance.p0) * float(cone.value)))
-    if cone.value == 0:
-        obstructed = instance.p0
-    for p in primes_up_to(p_max):
-        if p == instance.p0:
-            continue
-        dens = sigma_p(instance, p)
-        factors.append((p, convergence(p) * float(dens.value)))
-        if dens.value == 0 and obstructed is None:
-            obstructed = p
-    factors.sort()
+    rest = [sigma_p(instance, p) for p in primes_up_to(p_max) if p != instance.p0]
+    # an obstruction at p0 is reported ahead of one at a smaller prime
+    obstructed = next((d.p for d in (cone, *rest) if d.value == 0), None)
+    densities = tuple(sorted((cone, *rest), key=lambda d: d.p))
+    factors = tuple((d.p, convergence(d.p) * float(d.value)) for d in densities)
     value = 1.0
     for _, f in factors:
         value *= f
@@ -329,44 +322,33 @@ def singular_series(instance: ProblemInstance, p_max: int = 300) -> SingularSeri
         square_disc=square,
         p_max=p_max,
         value=value,
-        factors=tuple(factors),
+        factors=factors,
+        densities=densities,
         drift=drift,
         obstructed_at=obstructed,
     )
 
 
-def _fundamental_character(disc: int) -> tuple[int, RealCharacter]:
-    """Conductor f and the character of the quadratic field attached to disc:
-    d0 = fundamental discriminant of disc, f = |d0|, values extended to even
-    arguments through the Kronecker symbol at 2."""
+def _fundamental_discriminant(disc: int) -> int:
+    """Fundamental discriminant d0 of the quadratic field attached to disc;
+    its conductor is |d0|."""
     if disc == 0 or is_square(disc):
         raise ValueError("principal character has no finite L(1) value")
-    d = disc
     square_free = 1
-    f2 = 1
-    for q, e in factorize(abs(d)):
+    for q, e in factorize(abs(disc)):
         if e % 2 == 1:
             square_free *= q
-        f2 *= q ** (e // 2)
-    square_free *= -1 if d < 0 else 1
-    d0 = square_free if square_free % 4 == 1 else 4 * square_free
-    return abs(d0), RealCharacter(disc=disc, square=False)
+    square_free *= -1 if disc < 0 else 1
+    return square_free if square_free % 4 == 1 else 4 * square_free
 
 
-def kronecker_value(d0_abs: int, disc: int, n: int) -> int:
-    """Kronecker symbol of the fundamental discriminant attached to disc at n,
-    realized as the primitive real character mod d0_abs."""
-    n %= d0_abs
-    if n == 0 or math.gcd(n, d0_abs) > 1:
+def kronecker_value(d0: int, n: int) -> int:
+    """Kronecker symbol (d0 / n) of a fundamental discriminant d0, realized
+    as the primitive real character mod |d0|."""
+    n %= abs(d0)
+    if n == 0 or math.gcd(n, abs(d0)) > 1:
         return 0
     # build from Jacobi on the odd part plus the standard value at 2
-    d = disc
-    square_free = 1
-    for q, e in factorize(abs(d)):
-        if e % 2 == 1:
-            square_free *= q
-    square_free *= -1 if d < 0 else 1
-    d0 = square_free if square_free % 4 == 1 else 4 * square_free
     val = 1
     m = n
     two = 0
@@ -392,9 +374,9 @@ def L_one_psi0(form: QForm, m0: int, precision: float = 1e-10) -> float:
     """
     from scipy.special import digamma
 
-    disc = -m0 * form.det()
-    f, _ = _fundamental_character(disc)
-    chi = np.array([kronecker_value(f, disc, a) for a in range(1, f + 1)], dtype=np.float64)
+    d0 = _fundamental_discriminant(-m0 * form.det())
+    f = abs(d0)
+    chi = np.array([kronecker_value(d0, a) for a in range(1, f + 1)], dtype=np.float64)
     if abs(chi.sum()) > 1e-9:
         raise ValueError("character is principal; L(1) diverges")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,8 +102,6 @@ def ramanujan_sum(q: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Unit group structure and Dirichlet characters
 # ---------------------------------------------------------------------------
-
-_unit_group_lock = threading.Lock()
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,6 @@ are accumulated separately; their sum is the grand total by construction.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -23,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import DeltaKernel, QuadratureSpec, _amplitude_grid, form_range, singular_integral
-from .expsums import brute_S1, brute_S2, crt_split, lemma21_eval, sqc_grid
+from .expsums import GRID_MODULUS_BOUND, sqc_grid, sqc_value
 from .localdens import L_one_psi0, SingularSeries, singular_series
-from .qform import ProblemInstance
+from .qform import ProblemInstance, form_values
 
-_GRID_MODULUS_BOUND = 200
 _ENUM_AXIS_BOUND = 10**6
 
 
@@ -48,7 +45,13 @@ class EnumerationResult:
 
 @dataclass(frozen=True)
 class DeltaExpansion:
-    """Truncated (q, c) double sum with classified partial sums."""
+    """Truncated (q, c) double sum with classified partial sums.
+
+    For an exceptional c (F*(c) = 0, or m0 det F*(c) a nonzero square N(c)^2)
+    the paper rewrites the sum over q as r-integrals of I_r(w; c/L) / r,
+    twisted by e_{det r}(u^2 L^3 N(c)); here those terms are summed over q
+    directly like the ordinary ones and only their total is split out.
+    """
 
     Q: float
     q_max: int
@@ -157,24 +160,6 @@ def enumerate_gamma(instance: ProblemInstance, strategy: str = "sliced") -> Enum
     )
 
 
-def _sqc_lookup(instance: ProblemInstance, q: int):
-    """S_q(c) evaluator: FFT grid for small qL, CRT closed form beyond."""
-    qL = q * instance.L
-    if qL <= _GRID_MODULUS_BOUND:
-        grid = sqc_grid(instance, q)
-        return lambda c: complex(grid[tuple(ci % qL for ci in c)])
-    q1, q2 = crt_split(instance, q)
-
-    def closed(c):
-        if q1 % 2 == 1 and math.gcd(q1, instance.mN) == 1:
-            s1 = lemma21_eval(instance, q1, q2, c).value
-        else:
-            s1 = brute_S1(instance, q1, q2, c).value
-        return s1 * brute_S2(instance, q1, q2, c).value
-
-    return closed
-
-
 _KERNEL_FLOOR = 5.0
 
 
@@ -246,11 +231,7 @@ def poisson_rhs(
 
     # flat dual window and its exceptional/ordinary classification
     C1, C2, C3 = (g.ravel() for g in np.meshgrid(cvals, cvals, cvals, indexing="ij"))
-    dual = instance.form.dual()
-    fstar = (
-        dual.a11 * C1 * C1 + dual.a22 * C2 * C2 + dual.a33 * C3 * C3
-        + dual.a12 * C1 * C2 + dual.a13 * C1 * C3 + dual.a23 * C2 * C3
-    )
+    fstar = form_values(instance.form.dual(), C1, C2, C3)
     prod = instance.m0 * instance.form.det() * fstar
     root = np.floor(np.sqrt(np.maximum(prod, 0).astype(np.float64)) + 0.5).astype(np.int64)
     nonzero = (C1 != 0) | (C2 != 0) | (C3 != 0)
@@ -277,12 +258,11 @@ def poisson_rhs(
         qL = q * L
         qL2 = q * L * L
         qL3 = qL**3
-        if qL <= _GRID_MODULUS_BOUND:
+        if qL <= GRID_MODULUS_BOUND:
             grid = sqc_grid(instance, q)
             S = grid[C1 % qL, C2 % qL, C3 % qL]
         else:
-            sqc = _sqc_lookup(instance, q)
-            S = np.array([sqc((a, b, c)) for a, b, c in zip(C1, C2, C3)])
+            S = np.array([sqc_value(instance, q, c) for c in zip(C1, C2, C3)])
         # all-window oscillatory integrals in one tensordot chain:
         # P[i][a, j] = w_j exp(-2 pi i (c_a / L) t_j / r)
         P = [
@@ -442,8 +422,3 @@ def extract_secondary(report: PredictionReport, which: str | None = None) -> dic
         "consecutive_drifts": list(drifts),
     }
 
-
-def config_hash(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]

@@ -9,7 +9,7 @@ drives the classification of Poisson variables into exceptional and ordinary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -119,8 +119,15 @@ def evaluate(form: QForm, x) -> int:
     return val
 
 
-def determinant(form: QForm) -> int:
-    return form.det()
+def form_values(form: QForm, x1, x2, x3):
+    """F on arrays of coordinates, broadcast against each other; with open
+    axes (x1[:, None, None], x2[None, :, None], x3[None, None, :]) this is F
+    on the tensor grid.  Fixed-width arithmetic: no overflow check."""
+    a11, a22, a33, a12, a13, a23 = form.coefficients()
+    return (
+        a11 * x1 * x1 + a22 * x2 * x2 + a33 * x3 * x3
+        + a12 * x1 * x2 + a13 * x1 * x3 + a23 * x2 * x3
+    )
 
 
 def dual_form(form: QForm) -> QForm:

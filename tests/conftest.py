@@ -19,9 +19,10 @@ def make_instance(
     lam=(0, 0, 0),
     center=HYP_CENTER,
     radius=0.6,
+    profile="ball",
 ):
     form = QForm(*coeffs)
-    weight = WeightSpec(center=center, radius=radius)
+    weight = WeightSpec(center=center, radius=radius, profile=profile)
     return ProblemInstance(form, m0, p0, h, CongruenceDatum(L, lam), weight)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from qdelta.arch import (
     DeltaKernel,
     QuadratureSpec,
     WeightSpec,
+    _amplitude_grid,
+    _mollified,
     coarea_integral,
     delta_symbol,
     delta_symbol_literal,
@@ -148,6 +151,60 @@ class TestSingularIntegral:
         pts = rng.uniform(lo, hi, size=(200, 3))
         vals = np.abs(pts[:, 0] ** 2 + pts[:, 1] ** 2 - pts[:, 2] ** 2 - 1)
         assert vals.max() <= fr
+
+
+def _weight_ref(weight: WeightSpec, t) -> float:
+    """The weight at one point, written out from its definition."""
+
+    def bump(u):
+        return math.exp(1.0 - 1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
+
+    d = [(t[i] - weight.center[i]) / weight.radius for i in range(3)]
+    if weight.profile == "ball":
+        return bump(math.sqrt(sum(x * x for x in d)))
+    return bump(d[0]) * bump(d[1]) * bump(d[2])
+
+
+def _form_ref(inst, t) -> float:
+    """F(t) - m0 through the Gram matrix."""
+    t = np.asarray(t)
+    return float(t @ np.asarray(inst.form.gram(), dtype=np.float64) @ t) - inst.m0
+
+
+class TestGridLayer:
+    """Broadcast tensor grids against point-by-point loops, on both weight
+    profiles and a form with cross terms."""
+
+    @pytest.mark.parametrize("profile", ["ball", "box"])
+    def test_amplitude_grid_pointwise(self, profile):
+        inst = make_instance(coeffs=(1, 1, -1, 2, 0, -2), L=2, lam=(1, 0, 0), profile=profile)
+        kernel = DeltaKernel(Q=5.0)
+        r, yscale = 0.5, 0.7
+        axes, wts, amp = _amplitude_grid(inst, kernel, r, (9, 10, 11), yscale)
+        assert amp.shape == (9, 10, 11)
+        assert np.count_nonzero(amp) > 50
+        for i, j, k in itertools.product(range(9), range(10), range(11)):
+            t = (axes[0][i], axes[1][j], axes[2][k])
+            w = _weight_ref(inst.weight, t)
+            want = w * kernel.h(r, yscale * _form_ref(inst, t)) if w > 0 else 0.0
+            assert abs(amp[i, j, k] - want) <= 1e-12 * max(1.0, abs(want)), (i, j, k)
+
+    @pytest.mark.parametrize("profile", ["ball", "box"])
+    def test_mollified_matches_loop(self, profile):
+        inst = make_instance(coeffs=(1, 1, -1, 2, 0, -2), profile=profile)
+        eps, n = 0.3, 8
+        lo, hi = inst.weight.support_box()
+        x, gw = np.polynomial.legendre.leggauss(n)
+        nodes = [lo[i] + 0.5 * (hi[i] - lo[i]) * (x + 1.0) for i in range(3)]
+        wts = [0.5 * (hi[i] - lo[i]) * gw for i in range(3)]
+        total = 0.0
+        for i, j, k in itertools.product(range(n), repeat=3):
+            t = (nodes[0][i], nodes[1][j], nodes[2][k])
+            y = _form_ref(inst, t)
+            gauss = math.exp(-0.5 * (y / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
+            total += wts[0][i] * wts[1][j] * wts[2][k] * _weight_ref(inst.weight, t) * gauss
+        assert total > 0
+        assert abs(_mollified(inst, eps, n) - total) <= 1e-12 * total
 
 
 class TestQuadratureSpec:

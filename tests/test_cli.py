@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from qdelta import cli, localdens
 from qdelta.cli import ConfigError, build_instance, config_sha256, main, parse_config
+from qdelta.modarith import primes_up_to
 
 HYP_CFG = """\
 # hyperboloid test instance
@@ -101,6 +103,30 @@ class TestSubcommands:
                                                41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
         for r in rows:
             assert int(r["density_den"]) > 0
+
+    def test_density_computes_each_sigma_p_once(self, cfg_file, tmp_path, monkeypatch):
+        calls = []
+        real = localdens.sigma_p
+
+        def counting(instance, p):
+            calls.append(p)
+            return real(instance, p)
+
+        monkeypatch.setattr(localdens, "sigma_p", counting)
+        monkeypatch.setattr(cli, "sigma_p", counting, raising=False)
+        p = tmp_path / "d.cfg"
+        p.write_text(cfg_file.read_text() + "p_max_density = 60\n")
+        assert main(["density", "--config", str(p), "--out", str(tmp_path)]) == 0
+        assert calls == [q for q in primes_up_to(60) if q != 5]
+
+    def test_density_rows_stop_at_p_max(self, cfg_file, tmp_path):
+        # the cone factor at p0 = 13 enters the series but not the table
+        cfg = cfg_file.read_text().replace("p0 = 5", "p0 = 13") + "p_max_density = 11\n"
+        p = tmp_path / "d.cfg"
+        p.write_text(cfg)
+        assert main(["density", "--config", str(p), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "density.csv").open() as fh:
+            assert [int(r["p"]) for r in csv.DictReader(fh)] == [2, 3, 5, 7, 11]
 
     def test_delta_check_csv(self, cfg_file, tmp_path):
         cfg = cfg_file.read_text() + "Q_list = 5,10\nn_range = -5:5\n"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qdelta.expsums import (
+    GRID_MODULUS_BOUND,
     brute_S,
     brute_S1,
     brute_S1_grid,
@@ -22,6 +23,7 @@ from qdelta.expsums import (
     crt_split,
     lemma21_eval,
     sqc_grid,
+    sqc_value,
 )
 from qdelta.modarith import characters_mod, smooth_part
 
@@ -97,6 +99,29 @@ class TestGrids:
         grid = brute_S1_grid(hyp, q1, q2)
         for c in itertools.product((0, 1, 3, 6), repeat=3):
             assert abs(grid[c] - brute_S1(hyp, q1, q2, c).value) < 1e-8
+
+
+class TestClosedFormRoute:
+    """sqc_value beyond the grid bound against the definition-level sum,
+    on both S1 routes (closed form and brute_S1)."""
+
+    @pytest.mark.parametrize(
+        "h, L, lam, q, closed_s1",
+        [
+            (2, 1, (0, 0, 0), 201, True),    # N = 625: q1 = 201 prime to 5
+            (2, 1, (0, 0, 0), 205, False),   # 5 | q1, so S1 by its definition
+            (1, 2, (1, 0, 0), 101, True),    # L = 2: qL = 202
+            (1, 2, (1, 0, 0), 105, False),   # qL = 210, 5 | q1
+        ],
+    )
+    def test_matches_brute_beyond_grid_bound(self, h, L, lam, q, closed_s1):
+        inst = make_instance(h=h, L=L, lam=lam)
+        assert q * L > GRID_MODULUS_BOUND
+        q1, _ = crt_split(inst, q)
+        assert (q1 % 2 == 1 and math.gcd(q1, inst.mN) == 1) == closed_s1
+        for c in ((0, 0, 0), (1, -2, 3), (4, 1, -1)):
+            want = brute_S(inst, q, c).value
+            assert abs(sqc_value(inst, q, c) - want) <= 1e-9 * max(1.0, abs(want)), c
 
 
 class TestLemma21:
