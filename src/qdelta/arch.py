@@ -334,18 +334,25 @@ def osc_integral(
     kernel: DeltaKernel | None = None,
 ) -> tuple[complex, float]:
     """I_r(w; b) = int w(t) h(r, F(t)-m0) e_r(-b.t) dt with an error estimate
-    from one refined grid."""
+    from a second grid: a refined one, or at the node cap a coarser one (the
+    value then comes from the capped grid)."""
     if r <= 0:
         raise ValueError("r must be positive")
     if kernel is None:
         kernel = DeltaKernel(Q=max(float(instance.Q), 1.0 + 1e-9))
+
+    def value(n: int) -> complex:
+        axes, wts, amp = _amplitude_grid(instance, kernel, r, (n, n, n))
+        return _contract(amp, wts, _phase_factors(axes, b, r))
+
     n = quad.nodes_for(osc_cycles(instance, r, b), 2.0 * form_range(instance) / r)
-    axes, wts, amp = _amplitude_grid(instance, kernel, r, (n, n, n))
-    val = _contract(amp, wts, _phase_factors(axes, b, r))
-    n2 = min(quad.max_nodes, int(math.ceil(n * quad.refine_factor)) + 1)
-    axes2, wts2, amp2 = _amplitude_grid(instance, kernel, r, (n2, n2, n2))
-    val2 = _contract(amp2, wts2, _phase_factors(axes2, b, r))
-    return val2, abs(val2 - val)
+    fine = min(quad.max_nodes, int(math.ceil(n * quad.refine_factor)) + 1)
+    if fine > n:
+        n, other = fine, n
+    else:
+        other = int(math.ceil(n / quad.refine_factor))
+    val = value(n)
+    return val, abs(val - value(other))
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,12 @@ def _get_range(cfg, field, default):
         raise ConfigError(f"config field {field}: expected 'lo:hi', got {raw!r}")
     lo, _, hi = raw.partition(":")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise ConfigError(f"config field {field}: expected integers in 'lo:hi'") from exc
+    if lo > hi:
+        raise ConfigError(f"config field {field}: empty range {raw!r} (lo > hi)")
+    return lo, hi
 
 
 def build_instance(cfg: dict[str, str]) -> ProblemInstance:
@@ -223,7 +226,10 @@ def cmd_expsum(args, cfg) -> int:
     c_field = cfg.get("c_list", "0,0,0")
     c_list = []
     for chunk in c_field.split(";"):
-        vals = tuple(int(v) for v in chunk.replace(",", " ").split())
+        try:
+            vals = tuple(int(v) for v in chunk.replace(",", " ").split())
+        except ValueError as exc:
+            raise ConfigError(f"config field c_list: not integers: {chunk!r}") from exc
         if len(vals) != 3:
             raise ConfigError(f"config field c_list: expected triples, got {chunk!r}")
         c_list.append(vals)

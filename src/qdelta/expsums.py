@@ -8,8 +8,13 @@ part.
 
 The unit a-sums are collapsed to Ramanujan sums c_q(m) via the Mobius/gcd
 formula; `*_literal` variants keep the raw double loop and serve as oracles
-for that collapse.  All vectorized reductions run in a fixed order so results
-are reproducible bit-for-bit.
+for that collapse.  S_q(c), S1, S2 and the cone sum calT1 are one object, the
+amplitude A(s) = [L^2 | g] c_q(g / L^2) with g = F(scale*s + lam) - target,
+s mod qL, summed against e_{qL}(c.s).  One kernel, `_amplitude_rows`, builds
+A row by row; it has two consumers: `_amplitude_sum` for a single c (memory
+O((qL)^2)) and `_amplitude_table` for every c mod qL at once (one FFT).  All
+vectorized reductions run in a fixed order so results are reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 import sympy
 
-from .modarith import jacobi, mobius, quadratic_roots, smooth_part
+from .modarith import jacobi, quadratic_roots, ramanujan_sum, smooth_part
 from .qform import ProblemInstance, evaluate, form_values
 
 _BRUTE_MODULUS_BOUND = 10**4
@@ -67,7 +72,7 @@ def _exp_table(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _ramanujan_by_gcd(q: int) -> dict[int, int]:
     """c_q(m) depends on m only through gcd(m, q); table over divisors of q."""
-    return {d: sum(e * mobius(q // e) for e in sympy.divisors(d)) for d in sympy.divisors(q)}
+    return {d: ramanujan_sum(q, d) for d in sympy.divisors(q)}
 
 
 def _ramanujan_vector(q: int, m: np.ndarray) -> np.ndarray:
@@ -93,12 +98,8 @@ def _ramanujan_residue_table(q: int, L2: int) -> np.ndarray:
     The tiling lets callers index with unreduced sums of three residues in
     [0, q*L2) without a folding pass.
     """
-    modulus = q * L2
-    r = np.arange(modulus, dtype=np.int64)
-    g = np.gcd((r // L2) % q, q)
-    vals = np.zeros(modulus, dtype=np.float64)
-    for d, val in _ramanujan_by_gcd(q).items():
-        vals[g == d] = val
+    r = np.arange(q * L2, dtype=np.int64)
+    vals = _ramanujan_vector(q, r // L2).astype(np.float64)
     if L2 > 1:
         vals[r % L2 != 0] = 0.0
     return np.tile(vals, 3)
@@ -146,6 +147,57 @@ def _check_modulus(modulus: int) -> None:
         raise ValueError(f"modulus {modulus} exceeds brute-force bound {_BRUTE_MODULUS_BOUND}")
 
 
+def _check_split(instance: ProblemInstance, q1: int, q2: int) -> None:
+    if math.gcd(q1, q2 * abs(instance.omega)) != 1:
+        raise ValueError("require gcd(q1, q2*Omega) = 1")
+
+
+def _amplitude_rows(form, q: int, L: int, scale: int, lam, target: int):
+    """Rows of A(s) = [L^2 | g] c_q(g / L^2), g = F(scale*s + lam) - target, for
+    s mod qL: an iterator over s1 = 0..qL-1 of (A[s1, :, :], #{(s2, s3) with
+    L^2 | g}).  The modulus bound is checked on the call, not on the first row."""
+    size = q * L
+    _check_modulus(size)
+    L2 = L * L
+    modulus = q * L2
+    base, x2, x3 = _scaled_residue_sum(form, scale, lam, -target, modulus, size)
+    ramanujan = _ramanujan_residue_table(q, L2)
+    divisible = _divisible_residue_table(L2, modulus) if L2 > 1 else None
+    a11, _, _, a12, a13, _ = form.coefficients()
+
+    def row(s1: int):
+        x1 = scale * s1 + lam[0]
+        r = (base + ((a11 * x1 * x1 + a12 * x1 * x2) % modulus)[:, None]) + (
+            (a13 * x1 * x3) % modulus
+        )[None, :]
+        return ramanujan[r], size * size if divisible is None else int(divisible[r].sum())
+
+    return map(row, range(size))
+
+
+def _amplitude_sum(form, q: int, L: int, scale: int, lam, target: int, c) -> ComplexSum:
+    """sum_s A(s) e_{qL}(c.s), one row of A at a time; the term count is
+    phi(q) times the number of s with L^2 | g."""
+    rows = _amplitude_rows(form, q, L, scale, lam, target)
+    size = q * L
+    c = tuple(int(v) % size for v in c)
+    tab = _exp_table(size)
+    ph2 = tab[(c[1] * np.arange(size)) % size]
+    ph3 = tab[(c[2] * np.arange(size)) % size]
+    total = 0j
+    nsol = 0
+    for s1, (amp, count) in enumerate(rows):
+        total += tab[(c[0] * s1) % size] * _sum_masked_phase(amp, ph2, ph3)
+        nsol += count
+    return ComplexSum(total, int(sympy.totient(q)) * nsol)
+
+
+def _amplitude_table(form, q: int, L: int, scale: int, lam, target: int) -> np.ndarray:
+    """sum_s A(s) e_{qL}(k.s) for every k mod qL, as a (qL)^3 array."""
+    amp = np.stack([a for a, _ in _amplitude_rows(form, q, L, scale, lam, target)])
+    return np.conj(np.fft.fftn(amp))
+
+
 def brute_S(instance: ProblemInstance, q: int, c) -> ComplexSum:
     """Definition-level S_q(c): a mod q coprime, sigma mod qL with
     L^2 | F(L sigma + lam_N) - m0 N, summand e_{qL}(a (F(..)-m0N)/L + c.sigma).
@@ -153,35 +205,7 @@ def brute_S(instance: ProblemInstance, q: int, c) -> ComplexSum:
     The a-sum is a Ramanujan sum (see `brute_S_literal` for the raw loop).
     """
     L = instance.L
-    qL = q * L
-    _check_modulus(qL)
-    c = tuple(int(v) % qL for v in c)
-    lam = instance.lam_N
-    mN = instance.mN
-    L2 = L * L
-    tab = _exp_table(qL)
-    ph2 = tab[(c[1] * np.arange(qL)) % qL]
-    ph3 = tab[(c[2] * np.arange(qL)) % qL]
-    modulus = q * L2
-    base, x2, x3 = _scaled_residue_sum(instance.form, L, lam, -mN, modulus, qL)
-    ramanujan = _ramanujan_residue_table(q, L2)
-    divisible = _divisible_residue_table(L2, modulus) if L2 > 1 else None
-    a11, _, _, a12, a13, _ = instance.form.coefficients()
-    total = 0j
-    nsol = 0
-    for s1 in range(qL):
-        x1 = L * s1 + lam[0]
-        row = (base + ((a11 * x1 * x1 + a12 * x1 * x2) % modulus)[:, None]) + (
-            (a13 * x1 * x3) % modulus
-        )[None, :]
-        amp = ramanujan[row]
-        if divisible is None:
-            nsol += qL * qL
-        else:
-            nsol += int(divisible[row].sum())
-        total += tab[(c[0] * s1) % qL] * _sum_masked_phase(amp, ph2, ph3)
-    phi = int(sympy.totient(q))
-    return ComplexSum(total, phi * nsol)
+    return _amplitude_sum(instance.form, q, L, L, instance.lam_N, instance.mN, c)
 
 
 def brute_S_literal(instance: ProblemInstance, q: int, c) -> ComplexSum:
@@ -239,78 +263,24 @@ def brute_S_reordered(instance: ProblemInstance, q: int, c) -> ComplexSum:
 def brute_S1(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
     """Definition-level S1: sigma mod q1, a1 mod q1 coprime,
     e_{q1}(a1 (F(q2 L^2 sigma + lam_N) - m0 N) + c.sigma)."""
-    _check_modulus(q1)
-    if math.gcd(q1, q2 * abs(instance.omega)) != 1:
-        raise ValueError("require gcd(q1, q2*Omega) = 1")
-    L2 = instance.L * instance.L
-    lam = instance.lam_N
-    mN = instance.mN
-    c = tuple(int(v) % q1 for v in c)
-    tab = _exp_table(q1)
-    ph2 = tab[(c[1] * np.arange(q1)) % q1]
-    ph3 = tab[(c[2] * np.arange(q1)) % q1]
-    scale = q2 * L2
-    base, x2, x3 = _scaled_residue_sum(instance.form, scale, lam, -mN, q1, q1)
-    ramanujan = _ramanujan_residue_table(q1, 1)
-    a11, _, _, a12, a13, _ = instance.form.coefficients()
-    total = 0j
-    for s1 in range(q1):
-        x1 = scale * s1 + lam[0]
-        row = (base + ((a11 * x1 * x1 + a12 * x1 * x2) % q1)[:, None]) + (
-            (a13 * x1 * x3) % q1
-        )[None, :]
-        amp = ramanujan[row]
-        total += tab[(c[0] * s1) % q1] * _sum_masked_phase(amp, ph2, ph3)
-    phi = int(sympy.totient(q1))
-    return ComplexSum(total, phi * q1**3)
+    _check_split(instance, q1, q2)
+    scale = q2 * instance.L * instance.L
+    return _amplitude_sum(instance.form, q1, 1, scale, instance.lam_N, instance.mN, c)
 
 
 def brute_S1_grid(instance: ProblemInstance, q1: int, q2: int) -> np.ndarray:
     """S1 for every c mod q1 at once (FFT over the sigma grid)."""
-    _check_modulus(q1)
-    L2 = instance.L * instance.L
-    x = _residue_axes(q1, q2 * L2, instance.lam_N)
-    g = form_values(instance.form, *x) - instance.mN
-    amp = _ramanujan_vector(q1, g).astype(np.float64)
-    return np.conj(np.fft.fftn(amp))
+    _check_split(instance, q1, q2)
+    scale = q2 * instance.L * instance.L
+    return _amplitude_table(instance.form, q1, 1, scale, instance.lam_N, instance.mN)
 
 
 def brute_S2(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
     """Definition-level S2: sigma mod q2 L with L^2 | F(L q1 sigma + lam_N) - m0 N,
     a2 mod q2 coprime, e_{q2 L}(a2 (...)/L + c.sigma)."""
+    _check_split(instance, q1, q2)
     L = instance.L
-    q2L = q2 * L
-    _check_modulus(q2L)
-    if math.gcd(q1, q2 * abs(instance.omega)) != 1:
-        raise ValueError("require gcd(q1, q2*Omega) = 1")
-    lam = instance.lam_N
-    mN = instance.mN
-    L2 = L * L
-    c = tuple(int(v) % q2L for v in c)
-    tab = _exp_table(q2L)
-    ph2 = tab[(c[1] * np.arange(q2L)) % q2L]
-    ph3 = tab[(c[2] * np.arange(q2L)) % q2L]
-    modulus = q2 * L2
-    scale = L * q1
-    base, x2, x3 = _scaled_residue_sum(instance.form, scale, lam, -mN, modulus, q2L)
-    ramanujan = _ramanujan_residue_table(q2, L2)
-    divisible = _divisible_residue_table(L2, modulus) if L2 > 1 else None
-    a11, _, _, a12, a13, _ = instance.form.coefficients()
-    total = 0j
-    nsol = 0
-    for s1 in range(q2L):
-        x1 = scale * s1 + lam[0]
-        row = (base + ((a11 * x1 * x1 + a12 * x1 * x2) % modulus)[:, None]) + (
-            (a13 * x1 * x3) % modulus
-        )[None, :]
-        amp = ramanujan[row]
-        if divisible is None:
-            nsol += q2L * q2L
-        else:
-            nsol += int(divisible[row].sum())
-        total += tab[(c[0] * s1) % q2L] * _sum_masked_phase(amp, ph2, ph3)
-    phi = int(sympy.totient(q2))
-    return ComplexSum(total, phi * nsol)
+    return _amplitude_sum(instance.form, q2, L, L * q1, instance.lam_N, instance.mN, c)
 
 
 def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
@@ -326,8 +296,7 @@ def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
         raise ValueError("q1 must be odd (Jacobi symbol domain)")
     if math.gcd(q1, instance.mN) != 1:
         raise ValueError("require gcd(q1, m0*N) = 1")
-    if math.gcd(q1, q2 * abs(instance.omega)) != 1:
-        raise ValueError("require gcd(q1, q2*Omega) = 1")
+    _check_split(instance, q1, q2)
     det = instance.form.det()
     L2 = instance.L * instance.L
     lam = instance.lam_N
@@ -424,17 +393,11 @@ def calT1(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
     flat = smooth_part(q2, instance.p0)
     if flat == 1:
         return ComplexSum(1 + 0j, 1)
-    _check_modulus(flat)
     if math.gcd(x, flat) != 1:
         raise ValueError("require gcd(x, q2_flat) = 1")
     xinv = pow(x % flat, -1, flat)
-    b1, b2, b3 = _residue_axes(flat)
-    amp = _ramanujan_vector(flat, form_values(instance.form, b1, b2, b3)).astype(np.float64)
-    tab = _exp_table(flat)
-    phase = tab[((xinv * (c[0] * b1 + c[1] * b2 + c[2] * b3)) % flat)]
-    val = complex(np.sum(amp * phase))
-    phi = int(sympy.totient(flat))
-    return ComplexSum(val, phi * flat**3)
+    c = tuple(xinv * int(v) for v in c)
+    return _amplitude_sum(instance.form, flat, 1, 1, (0, 0, 0), 0, c)
 
 
 def calT2(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
@@ -464,13 +427,7 @@ def sqc_grid(instance: ProblemInstance, q: int) -> np.ndarray:
     truncation window is needed for each q.
     """
     L = instance.L
-    qL = q * L
-    _check_modulus(qL)
-    L2 = L * L
-    g = form_values(instance.form, *_residue_axes(qL, L, instance.lam_N)) - instance.mN
-    mask = g % L2 == 0
-    amp = np.where(mask, _ramanujan_vector(q, np.where(mask, g // L2, 0)), 0).astype(np.float64)
-    return np.conj(np.fft.fftn(amp))
+    return _amplitude_table(instance.form, q, L, L, instance.lam_N, instance.mN)
 
 
 def sqc_value(instance: ProblemInstance, q: int, c) -> complex:

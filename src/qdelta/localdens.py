@@ -299,8 +299,7 @@ def singular_series(instance: ProblemInstance, p_max: int = 300) -> SingularSeri
     def convergence(p: int) -> float:
         if square:
             return 1.0 - 1.0 / p
-        chi = char(p) if p % 2 == 1 and math.gcd(p, 2 * abs(char.disc)) == 1 else 0
-        return 1.0 - chi / p
+        return 1.0 - char(p) / p
 
     cone = sigma_p0_cone(instance)
     rest = [sigma_p(instance, p) for p in primes_up_to(p_max) if p != instance.p0]

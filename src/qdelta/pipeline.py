@@ -23,7 +23,7 @@ import numpy as np
 from .arch import DeltaKernel, QuadratureSpec, _amplitude_grid, form_range, singular_integral
 from .expsums import GRID_MODULUS_BOUND, sqc_grid, sqc_value
 from .localdens import L_one_psi0, SingularSeries, singular_series
-from .qform import ProblemInstance, form_values
+from .qform import ProblemInstance, _classify_array
 
 _ENUM_AXIS_BOUND = 10**6
 
@@ -231,11 +231,9 @@ def poisson_rhs(
 
     # flat dual window and its exceptional/ordinary classification
     C1, C2, C3 = (g.ravel() for g in np.meshgrid(cvals, cvals, cvals, indexing="ij"))
-    fstar = form_values(instance.form.dual(), C1, C2, C3)
-    prod = instance.m0 * instance.form.det() * fstar
-    root = np.floor(np.sqrt(np.maximum(prod, 0).astype(np.float64)) + 0.5).astype(np.int64)
+    type_i, type_ii = _classify_array(instance, C1, C2, C3)
     nonzero = (C1 != 0) | (C2 != 0) | (C3 != 0)
-    exc_mask = nonzero & ((fstar == 0) | ((prod > 0) & (root * root == prod)))
+    exc_mask = nonzero & (type_i | type_ii)
     ord_mask = nonzero & ~exc_mask
     zero_mask = ~nonzero
     shell_mask = np.maximum(np.abs(C1), np.maximum(np.abs(C2), np.abs(C3))) == c_max
@@ -259,8 +257,7 @@ def poisson_rhs(
         qL2 = q * L * L
         qL3 = qL**3
         if qL <= GRID_MODULUS_BOUND:
-            grid = sqc_grid(instance, q)
-            S = grid[C1 % qL, C2 % qL, C3 % qL]
+            S = sqc_grid(instance, q)[C1 % qL, C2 % qL, C3 % qL]
         else:
             S = np.array([sqc_value(instance, q, c) for c in zip(C1, C2, C3)])
         # all-window oscillatory integrals in one tensordot chain:
@@ -279,6 +276,10 @@ def poisson_rhs(
         ordinary += complex(terms[ord_mask].sum())
         shell += float(np.abs(terms[shell_mask]).sum())
         n_terms += terms.size
+        # release this q's grid- and window-sized arrays before the next q
+        # builds its own: the loop's peak memory is then one q's arrays,
+        # not the previous q's held alongside the next q's contraction
+        del axes, wts, amp, S, P, t1, t2, integrals, phase, terms
     budget = tail_budget_frac * instance.sqrtN
     return DeltaExpansion(
         Q=Q,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .modarith import is_square, jacobi
 
 _INT128_MAX = 1 << 127
@@ -250,15 +252,29 @@ class ProblemInstance:
         return psi0(self.form, self.m0)
 
 
+def _classify_array(instance: ProblemInstance, c1, c2, c3):
+    """Masks (type_i, type_ii) of the exceptional Poisson variables among
+    integer arrays c1, c2, c3 (broadcast against each other): type II is
+    F*(c) = 0 (the zero vector included), type I is m0 * det * F*(c) a
+    nonzero square.  Fixed-width int64 arithmetic; below 2^62 the rounded
+    float square root is the exact one."""
+    fstar = form_values(instance.form.dual(), c1, c2, c3)
+    prod = instance.m0 * instance.form.det() * fstar
+    root = np.floor(np.sqrt(np.maximum(prod, 0).astype(np.float64)) + 0.5).astype(np.int64)
+    return (prod > 0) & (root * root == prod), fstar == 0
+
+
 def classify_c(instance: ProblemInstance, c) -> CClass:
     """Exceptional/ordinary trichotomy of a nonzero Poisson variable."""
     c = tuple(int(v) for v in c)
     if c == (0, 0, 0):
         raise ValueError("c must be nonzero")
-    fstar = evaluate(instance.form.dual(), c)
-    if fstar == 0:
+    size = abs(instance.m0 * instance.form.det()) * sum(map(abs, instance.form.dual().coefficients()))
+    if size * max(map(abs, c)) ** 2 >= 1 << 62:
+        raise OverflowError("m0 * det * F*(c) exceeds the int64 classifier's range")
+    type_i, type_ii = _classify_array(instance, *np.array(c, dtype=np.int64))
+    if type_ii:
         return CClass.EXCEPTIONAL_TYPE_II
-    prod = instance.m0 * instance.form.det() * fstar
-    if prod > 0 and is_square(prod):
+    if type_i:
         return CClass.EXCEPTIONAL_TYPE_I
     return CClass.ORDINARY

@@ -14,7 +14,9 @@ from qdelta.arch import (
     QuadratureSpec,
     WeightSpec,
     _amplitude_grid,
+    _contract,
     _mollified,
+    _phase_factors,
     coarea_integral,
     delta_symbol,
     delta_symbol_literal,
@@ -122,6 +124,18 @@ class TestOscIntegral:
         inst = make_instance()
         val, err = osc_integral(inst, 0.6, (2, 1, 0))
         assert err < 1e-3 * max(1.0, abs(val)) or err < 1e-4
+
+    def test_error_estimate_at_node_cap(self):
+        # 48 nodes is below what nodes_for asks here, so the count is clamped;
+        # the value stays the capped grid's and the error comes from a coarser one
+        inst = make_instance()
+        r, b = 0.6, (2, 1, 0)
+        val, err = osc_integral(inst, r, b, QuadratureSpec(max_nodes=48))
+        axes, wts, amp = _amplitude_grid(inst, DeltaKernel(Q=float(inst.Q)), r, (48, 48, 48))
+        assert val == _contract(amp, wts, _phase_factors(axes, b, r))
+        ref, _ = osc_integral(inst, r, b, QuadratureSpec(max_nodes=160))
+        assert err > 0
+        assert abs(val - ref) <= err
 
     def test_conjugate_symmetry(self):
         inst = make_instance()

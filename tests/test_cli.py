@@ -147,6 +147,29 @@ class TestSubcommands:
         assert rc == 2
         assert "missing config field" in capsys.readouterr().err
 
+    def test_exit_code_2_on_non_integer_c_list(self, cfg_file, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(cfg_file.read_text() + "q_range = 1:3\nc_list = 1,x,0\n")
+        rc = main(["expsum", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "c_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra, output",
+        [
+            ("expsum", "q_range = 5:1\n", "expsum.csv"),
+            ("delta-check", "n_range = 3:-3\n", "delta.csv"),
+        ],
+        ids=["q_range", "n_range"],
+    )
+    def test_exit_code_2_on_empty_range(self, cfg_file, tmp_path, capsys, command, extra, output):
+        p = tmp_path / "r.cfg"
+        p.write_text(cfg_file.read_text() + extra)
+        rc = main([command, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert extra.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / output).exists()
+
     def test_exit_code_2_on_absent_file(self, tmp_path, capsys):
         rc = main(["count", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 2

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from qdelta.modarith import is_square
 from qdelta.qform import (
     CClass,
     CongruenceDatum,
     ProblemInstance,
     QForm,
+    _classify_array,
     classify_c,
     evaluate,
     psi0,
@@ -130,3 +133,42 @@ class TestClassifyC:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             classify_c(make_instance(), (0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "coeffs, m0, classes",
+        [
+            ((1, 1, -1), 1, set(CClass)),
+            # positive definite: F*(c) = 0 only at c = 0
+            ((2, 3, 1, 2, 0, 2), 3, {CClass.EXCEPTIONAL_TYPE_I, CClass.ORDINARY}),
+        ],
+        ids=["hyperboloid", "cross"],
+    )
+    def test_array_classifier_matches_scalar(self, coeffs, m0, classes):
+        inst = make_instance(coeffs=coeffs, m0=m0, p0=7)
+        dual, scale = inst.form.dual(), inst.m0 * inst.form.det()
+        cvals = np.arange(-6, 7)
+        C = [g.ravel() for g in np.meshgrid(cvals, cvals, cvals, indexing="ij")]
+        type_i, type_ii = _classify_array(inst, *C)
+        seen = set()
+        for k, c in enumerate(zip(*(v.tolist() for v in C))):
+            if c == (0, 0, 0):
+                assert type_ii[k] and not type_i[k]
+                continue
+            fstar = evaluate(dual, c)
+            want = (
+                CClass.EXCEPTIONAL_TYPE_II if fstar == 0
+                else CClass.EXCEPTIONAL_TYPE_I if scale * fstar > 0 and is_square(scale * fstar)
+                else CClass.ORDINARY
+            )
+            got = (
+                CClass.EXCEPTIONAL_TYPE_II if type_ii[k]
+                else CClass.EXCEPTIONAL_TYPE_I if type_i[k]
+                else CClass.ORDINARY
+            )
+            assert got is want is classify_c(inst, c), c
+            seen.add(want)
+        assert seen == classes
+
+    def test_classify_rejects_int64_overflow(self):
+        with pytest.raises(OverflowError):
+            classify_c(make_instance(), (3 * 10**9, 0, 1))
