@@ -302,22 +302,26 @@ def _amplitude_grid(
     mask = amp > 0.0
     if np.any(mask):
         y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
-        hvals = np.zeros(amp.shape)
-        hvals[mask] = kernel.h_many(r, y)
-        amp = amp * hvals
+        amp[mask] *= kernel.h_many(r, y)
     return axes, wts, amp
 
 
-def _phase_factors(axes, b, r: float):
-    """Separable factors of e_r(-b.t) along the three axes."""
-    return [np.exp(-2j * np.pi * b[i] * axes[i] / r) for i in range(3)]
+def _axis_factors(axes, wts, freqs, r: float) -> list[np.ndarray]:
+    """Quadrature-weighted phase matrices P_i[a, j] = w_j e_r(-f_a t_j) along
+    each axis, one row per frequency f_a in freqs[i]."""
+    return [np.exp(-2j * np.pi * np.outer(f, x) / r) * w for f, x, w in zip(freqs, axes, wts)]
 
 
-def _contract(amp: np.ndarray, wts, phases) -> complex:
-    f1 = wts[0] * phases[0]
-    f2 = wts[1] * phases[1]
-    f3 = wts[2] * phases[2]
-    return complex(np.einsum("ijk,i,j,k->", amp, f1, f2, f3))
+def _contract_axes(amp: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """T[a, b, c] = sum_ijk p0[a, i] p1[b, j] p2[c, k] amp[i, j, k] for a real
+    (n0, n1, n2) amplitude and complex (m_i, n_i) factors.
+
+    The first stage is one real GEMM against the stacked real and imaginary
+    parts of p0, so the n0 n1 n2 amplitude is never copied to complex; the
+    other two stages are complex matmuls on the (m0, n1, n2) intermediate."""
+    n0, n1, n2 = amp.shape
+    t = (np.concatenate([p0.real, p0.imag]) @ amp.reshape(n0, n1 * n2)).reshape(2, -1, n1, n2)
+    return (p1 @ (t[0] + 1j * t[1])) @ p2.T
 
 
 def osc_cycles(instance: ProblemInstance, r: float, b) -> float:
@@ -343,7 +347,7 @@ def osc_integral(
 
     def value(n: int) -> complex:
         axes, wts, amp = _amplitude_grid(instance, kernel, r, (n, n, n))
-        return _contract(amp, wts, _phase_factors(axes, b, r))
+        return _contract_axes(amp, *_axis_factors(axes, wts, [[bi] for bi in b], r)).item()
 
     n = quad.nodes_for(osc_cycles(instance, r, b), 2.0 * form_range(instance) / r)
     fine = min(quad.max_nodes, int(math.ceil(n * quad.refine_factor)) + 1)

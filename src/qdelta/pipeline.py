@@ -8,8 +8,13 @@ The expansion evaluates, term by term over (q, c),
 
 with S_q(c) from expsums (FFT grid for small qL, closed-form split beyond)
 and the oscillatory integral from arch on a per-q amplitude grid shared by
-all c.  Every c is tagged exceptional/ordinary and the three partial sums
-are accumulated separately; their sum is the grand total by construction.
+all c.  Per q the window of e_{qL^2}(c.lam_N) I(c) is one separable
+contraction of the real amplitude with three axis-factor matrices (a real
+GEMM, then two complex matmuls) over the half window c1 >= 0; the other
+half is its complex conjugate.  Every c is tagged exceptional/ordinary and
+the three partial sums are accumulated separately; their sum is the grand
+total by construction.  The node count of each q, and the q held at the
+quadrature cap, are reported with the sums.
 """
 
 from __future__ import annotations
@@ -20,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import DeltaKernel, QuadratureSpec, _amplitude_grid, form_range, singular_integral
+from .arch import (
+    DeltaKernel,
+    QuadratureSpec,
+    _amplitude_grid,
+    _axis_factors,
+    _contract_axes,
+    form_range,
+    singular_integral,
+)
 from .expsums import GRID_MODULUS_BOUND, sqc_grid, sqc_value
 from .localdens import L_one_psi0, SingularSeries, singular_series
 from .qform import ProblemInstance, _classify_array
@@ -63,6 +76,8 @@ class DeltaExpansion:
     tail_budget: float
     budget_ok: bool
     n_terms: int
+    nodes: tuple[int, ...]  # quadrature nodes per axis at q = 1..q_max
+    capped_q: tuple[int, ...]  # the q whose node count sits at quad.max_nodes
 
     @property
     def total(self) -> complex:
@@ -243,6 +258,7 @@ def poisson_rhs(
     ordinary = 0j
     shell = 0.0
     n_terms = 0
+    nodes_per_q = []
     fr = form_range(instance)
     for q in range(1, q_max + 1):
         rk = q / Q  # kernel scale (amplitude)
@@ -250,6 +266,7 @@ def poisson_rhs(
         nodes = quad.nodes_for(
             2.0 * instance.weight.radius * c_max / (L * rp), 2.0 * yscale * fr / rk
         )
+        nodes_per_q.append(nodes)
         axes, wts, amp = _amplitude_grid(instance, kernel, rk, (nodes, nodes, nodes), yscale)
         if not np.any(amp):
             continue
@@ -260,17 +277,18 @@ def poisson_rhs(
             S = sqc_grid(instance, q)[C1 % qL, C2 % qL, C3 % qL]
         else:
             S = np.array([sqc_value(instance, q, c) for c in zip(C1, C2, C3)])
-        # all-window oscillatory integrals in one tensordot chain:
-        # P[i][a, j] = w_j exp(-2 pi i (c_a / L) t_j / r)
-        P = [
-            np.exp(-2j * np.pi * np.outer(cvals / L, axes[i]) / rp) * wts[i]
-            for i in range(3)
-        ]
-        t1 = np.tensordot(P[0], amp, axes=(1, 0))
-        t2 = np.einsum("bj,ajk->abk", P[1], t1)
-        integrals = np.einsum("ck,abk->abc", P[2], t2).ravel()
-        phase = np.exp(2j * np.pi * ((C1 * lam[0] + C2 * lam[1] + C3 * lam[2]) % qL2) / qL2)
-        terms = prefac * S * phase * integrals / qL3
+        # U(c) = e_{qL^2}(c.lam) I(c) over the window in one GEMM chain, the
+        # lam-phase folded into the rows of the axis factors:
+        # P[i][a, j] = w_j exp(-2 pi i (c_a / L) t_j / r) e_{qL^2}(c_a lam_i).
+        # The amplitude is real, so U(-c) = conj U(c): contract the c1 >= 0
+        # half and mirror it onto c1 < 0
+        freqs = (cvals[c_max:], cvals, cvals)
+        P = _axis_factors(axes, wts, [f / L for f in freqs], rp)
+        for i in range(3):
+            P[i] *= np.exp(2j * np.pi * ((freqs[i] * lam[i]) % qL2) / qL2)[:, None]
+        U = _contract_axes(amp, *P)
+        U = np.concatenate([np.conj(U[:0:-1, ::-1, ::-1]), U])
+        terms = prefac * S * U.ravel() / qL3
         zero += complex(terms[zero_mask].sum())
         exceptional += complex(terms[exc_mask].sum())
         ordinary += complex(terms[ord_mask].sum())
@@ -279,7 +297,7 @@ def poisson_rhs(
         # release this q's grid- and window-sized arrays before the next q
         # builds its own: the loop's peak memory is then one q's arrays,
         # not the previous q's held alongside the next q's contraction
-        del axes, wts, amp, S, P, t1, t2, integrals, phase, terms
+        del axes, wts, amp, S, P, U, terms
     budget = tail_budget_frac * instance.sqrtN
     return DeltaExpansion(
         Q=Q,
@@ -292,6 +310,8 @@ def poisson_rhs(
         tail_budget=budget,
         budget_ok=shell <= budget,
         n_terms=n_terms,
+        nodes=tuple(nodes_per_q),
+        capped_q=tuple(q for q, n in enumerate(nodes_per_q, 1) if n >= quad.max_nodes),
     )
 
 

@@ -14,9 +14,9 @@ from qdelta.arch import (
     QuadratureSpec,
     WeightSpec,
     _amplitude_grid,
-    _contract,
+    _axis_factors,
+    _contract_axes,
     _mollified,
-    _phase_factors,
     coarea_integral,
     delta_symbol,
     delta_symbol_literal,
@@ -132,7 +132,7 @@ class TestOscIntegral:
         r, b = 0.6, (2, 1, 0)
         val, err = osc_integral(inst, r, b, QuadratureSpec(max_nodes=48))
         axes, wts, amp = _amplitude_grid(inst, DeltaKernel(Q=float(inst.Q)), r, (48, 48, 48))
-        assert val == _contract(amp, wts, _phase_factors(axes, b, r))
+        assert val == _contract_axes(amp, *_axis_factors(axes, wts, [[bi] for bi in b], r)).item()
         ref, _ = osc_integral(inst, r, b, QuadratureSpec(max_nodes=160))
         assert err > 0
         assert abs(val - ref) <= err

@@ -79,6 +79,19 @@ class TestSubcommands:
         assert main(["count", "--config", str(cfg_file), "--out", str(out2), "--deterministic"]) == 0
         assert (out1 / "count.json").read_bytes() == (out2 / "count.json").read_bytes()
 
+    def test_compare_deterministic_byte_identical(self, cfg_file, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text(cfg_file.read_text() + "quad_max_nodes = 48\n")
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        codes = [main(["compare", "--config", str(p), "--out", str(out), "--deterministic"])
+                 for out in (out1, out2)]
+        # at a 48-node cap the identity check may fail (exit 1); both runs agree
+        assert codes[0] == codes[1] and codes[0] in (0, 1)
+        assert (out1 / "compare.json").read_bytes() == (out2 / "compare.json").read_bytes()
+        (check,) = json.loads((out1 / "compare.json").read_text())["identity_checks"]
+        assert check["capped_q"][0] == 1
+        assert all(check["nodes_per_q"][q - 1] == 48 for q in check["capped_q"])
+
     def test_expsum_csv_schema(self, cfg_file, tmp_path):
         cfg = cfg_file.read_text() + "q_range = 1:50\nc_list = 0,0,0\n"
         p = tmp_path / "e.cfg"

@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from qdelta.arch import WeightSpec
+from qdelta.arch import (
+    QuadratureSpec,
+    WeightSpec,
+    _amplitude_grid,
+    _contract_axes,
+    form_range,
+)
+from qdelta.expsums import sqc_grid
 from qdelta.pipeline import (
     PredictionReport,
     default_c_max,
@@ -17,7 +25,7 @@ from qdelta.pipeline import (
     poisson_rhs,
     predict_main,
 )
-from qdelta.qform import CongruenceDatum, ProblemInstance, QForm
+from qdelta.qform import CongruenceDatum, ProblemInstance, QForm, _classify_array
 
 from conftest import make_instance
 
@@ -80,6 +88,78 @@ class TestExpansionBookkeeping:
         g = max_gradient(hyp_instance)
         assert default_c_max(hyp_instance) == math.ceil(5.0 * g)
         assert default_c_max(cong_instance) == math.ceil(5.0 * 2 * g)
+
+    def test_node_cap_reported(self, cong_instance):
+        exp = poisson_rhs(cong_instance, q_max=4, quad=QuadratureSpec(max_nodes=48))
+        assert len(exp.nodes) == 4
+        assert exp.capped_q[0] == 1
+        assert all(exp.nodes[q - 1] == 48 for q in exp.capped_q)
+
+
+_CONGRUENCE = dict(L=2, lam=(1, 0, 0))
+_CROSS = dict(coeffs=(2, 3, 1, 2, 0, 2), m0=3, p0=7, L=2, lam=(0, 1, 0), center=(0.5, 0.4, 0.3))
+
+
+def _tensordot_chain(instance, q_max, c_max, quad):
+    """The expansion as a tensordot, two einsums and a flat window phase
+    e_{qL^2}(c.lam): the written-out reference for poisson_rhs's GEMM chain."""
+    kernel = default_kernel(instance)
+    yscale = (float(instance.Q) / kernel.Q) ** 2
+    L, lam = instance.L, instance.lam_N
+    cvals = np.arange(-c_max, c_max + 1)
+    C1, C2, C3 = (g.ravel() for g in np.meshgrid(cvals, cvals, cvals, indexing="ij"))
+    type_i, type_ii = _classify_array(instance, C1, C2, C3)
+    nonzero = (C1 != 0) | (C2 != 0) | (C3 != 0)
+    exc = nonzero & (type_i | type_ii)
+    masks = {"zero_part": ~nonzero, "exceptional_part": exc, "ordinary_part": nonzero & ~exc}
+    shell = np.maximum(np.abs(C1), np.maximum(np.abs(C2), np.abs(C3))) == c_max
+    sums = dict.fromkeys([*masks, "shell_mass"], 0.0)
+    for q in range(1, q_max + 1):
+        rk, rp = q / kernel.Q, q / float(instance.Q)
+        nodes = quad.nodes_for(
+            2.0 * instance.weight.radius * c_max / (L * rp), 2.0 * yscale * form_range(instance) / rk
+        )
+        axes, wts, amp = _amplitude_grid(instance, kernel, rk, (nodes,) * 3, yscale)
+        qL, qL2 = q * L, q * L * L
+        S = sqc_grid(instance, q)[C1 % qL, C2 % qL, C3 % qL]
+        P = [np.exp(-2j * np.pi * np.outer(cvals / L, axes[i]) / rp) * wts[i] for i in range(3)]
+        t1 = np.tensordot(P[0], amp, axes=(1, 0))
+        t2 = np.einsum("bj,ajk->abk", P[1], t1)
+        integrals = np.einsum("ck,abk->abc", P[2], t2).ravel()
+        phase = np.exp(2j * np.pi * ((C1 * lam[0] + C2 * lam[1] + C3 * lam[2]) % qL2) / qL2)
+        terms = yscale * instance.sqrtN / L * S * phase * integrals / qL**3
+        for name, mask in masks.items():
+            sums[name] += terms[mask].sum()
+        sums["shell_mass"] += np.abs(terms[shell]).sum()
+    return sums
+
+
+class TestWindowContraction:
+    def test_matches_einsum_oracle(self):
+        rng = np.random.default_rng(7)
+        n, m = (9, 7, 11), (5, 8, 6)
+        amp = rng.standard_normal(n)
+        P = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in zip(m, n)]
+        got = _contract_axes(amp, *P)
+        ref = np.einsum("ai,bj,ck,ijk->abc", *P, amp, optimize=False)
+        assert got.shape == m
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    # the congruence instance is invariant under (x2, x3) -> (-x2, -x3), which
+    # hides a c1 < 0 mirror that fails to reverse the c2 and c3 axes; the xy
+    # term of the cross form breaks that symmetry
+    @pytest.mark.parametrize(
+        "kwargs, c_max",
+        [(_CONGRUENCE, 0), (_CONGRUENCE, 1), (_CONGRUENCE, 4), (_CROSS, 4)],
+        ids=["congruence-0", "congruence-1", "congruence-4", "cross-4"],
+    )
+    def test_poisson_rhs_matches_tensordot_chain(self, kwargs, c_max):
+        inst = make_instance(**kwargs)
+        quad = QuadratureSpec(max_nodes=24)
+        exp = poisson_rhs(inst, q_max=4, c_max=c_max, quad=quad)
+        ref = _tensordot_chain(inst, 4, c_max, quad)
+        for name, value in ref.items():
+            assert abs(getattr(exp, name) - value) <= 1e-12 * max(1.0, abs(value)), name
 
 
 @pytest.fixture(scope="module")
