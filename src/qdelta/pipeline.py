@@ -2,6 +2,12 @@
 truncated Poisson expansion of the delta identity, main-term predictions,
 and residual extraction.
 
+The direct count solves F(x) = m0 N exactly along one axis for every
+congruence-admissible pair of the other two: one int64 array kernel per
+block of at most _BLOCK_PAIRS pairs, with an exact integer square root (the
+float root and a +-1 fix-up) and an exact bound that rejects, before any
+allocation, a box where an int64 step could reach 2^62.
+
 The expansion evaluates, term by term over (q, c),
 
     (sqrt(N)/L) * S_q(c) * e_{qL^2}(c.lam_N) * I_{q/Q}(w; c/L) / (qL)^3,
@@ -39,6 +45,10 @@ from .localdens import L_one_psi0, SingularSeries, singular_series
 from .qform import ProblemInstance, _classify_array
 
 _ENUM_AXIS_BOUND = 10**6
+# (x1, x2) pairs per block of the sliced kernel: a few MB of int64 scratch
+_BLOCK_PAIRS = 1 << 16
+# |x3-discriminant| limit of the int64 kernel; below it (r + 1)^2 still fits
+_DISC_BOUND = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -84,15 +94,39 @@ class DeltaExpansion:
         return self.zero_part + self.exceptional_part + self.ordinary_part
 
 
-def _solutions_sliced(instance: ProblemInstance):
-    """Lattice points in the weight support: exact quadratic solve in x3 per
-    congruence-admissible (x1, x2).  Yields points in lexicographic order."""
-    form = instance.form
-    a11, a22, a33, a12, a13, a23 = form.coefficients()
-    if a33 == 0:
-        raise ValueError("sliced enumeration requires a nonzero x3^2 coefficient")
-    w = instance.weight
-    lo, hi = w.support_box()
+def _admissible_axis(lo: float, hi: float, lam: int, L: int, s: int) -> np.ndarray:
+    """Integers in [lo s, hi s] congruent to lam mod L, ascending."""
+    start = math.ceil(lo * s)
+    start += (lam - start) % L
+    return np.arange(start, math.floor(hi * s) + 1, L, dtype=np.int64)
+
+
+def _isqrt_floor(d: np.ndarray) -> np.ndarray:
+    """floor(sqrt(d)) for an int64 array with 0 <= d < 2^62.  The rounded
+    float root is within one of it; the integer fix-up makes it exact."""
+    r = np.sqrt(d.astype(np.float64)).astype(np.int64)
+    r -= r * r > d
+    r += (r + 1) * (r + 1) <= d
+    return r
+
+
+def _solutions_sliced(instance: ProblemInstance) -> np.ndarray:
+    """Lattice points in the weight support box: an exact quadratic solve
+    along one axis for every congruence-admissible pair of the other two.
+
+    The solved axis is x3, or the last axis with a nonzero square
+    coefficient when a33 = 0 (coordinates are permuted and permuted back).
+    Pairs (x1, x2) go through in blocks of whole x1 rows, at most
+    _BLOCK_PAIRS pairs each (one x1 row is split when the x2 axis is wider).
+    Per block, in int64: the x3-discriminant
+    disc = (a13 x1 + a23 x2)^2 - 4 a33 (a11 x1^2 + a22 x2^2 + a12 x1 x2 - m0 N),
+    its exact integer root where disc is a square (_isqrt_floor), both
+    roots x3 = (-b +- r) / (2 a33) (one when r = 0), and the divisibility,
+    x3 = lam3 mod L and box filters as masks.  Before any allocation the
+    termwise bound on |disc| over the box corners, in exact integers, must
+    stay below 2^62, or OverflowError is raised: no int64 step can wrap.
+    Returns an (n, 3) int64 array in lexicographic order."""
+    lo, hi = instance.weight.support_box()
     s = instance.sqrtN
     L = instance.L
     lam = instance.lam_N
@@ -100,76 +134,87 @@ def _solutions_sliced(instance: ProblemInstance):
     for i in range(3):
         if (hi[i] - lo[i]) * s > 2 * _ENUM_AXIS_BOUND:
             raise ValueError("enumeration box exceeds the per-axis bound")
+    gram = instance.form.gram()
+    solve = next((i for i in (2, 1, 0) if gram[i][i] != 0), None)
+    if solve is None:
+        raise ValueError("sliced enumeration needs a nonzero square coefficient; a11 = a22 = a33 = 0")
+    perm = [i for i in range(3) if i != solve] + [solve]
+    m = [[gram[i][j] for j in perm] for i in perm]
+    a11, a22, a33, a12, a13, a23 = m[0][0], m[1][1], m[2][2], 2 * m[0][1], 2 * m[0][2], 2 * m[1][2]
+    # largest |x1|, |x2| in the box: every int64 term below is bounded by
+    # the same terms in absolute value at these corners
+    X1, X2 = (max(abs(math.ceil(lo[i] * s)), abs(math.floor(hi[i] * s))) for i in perm[:2])
+    bb_max = abs(a13) * X1 + abs(a23) * X2
+    cc_max = abs(a11) * X1 * X1 + abs(a22) * X2 * X2 + abs(a12) * X1 * X2 + abs(mN)
+    if bb_max * bb_max + 4 * abs(a33) * cc_max >= _DISC_BOUND:
+        raise OverflowError("x3-discriminant may exceed 2^62: outside the int64 enumeration kernel")
+    ax1, ax2 = (_admissible_axis(lo[i], hi[i], lam[i], L, s) for i in perm[:2])
+    lo3, hi3 = math.ceil(lo[perm[2]] * s), math.floor(hi[perm[2]] * s)
+    lam3 = lam[perm[2]]
 
-    def axis_range(i: int):
-        start = math.ceil(lo[i] * s)
-        start += (lam[i] - start) % L
-        return range(start, math.floor(hi[i] * s) + 1, L)
-
-    lo3, hi3 = math.ceil(lo[2] * s), math.floor(hi[2] * s)
-    for x1 in axis_range(0):
-        for x2 in axis_range(1):
+    cols = max(1, min(len(ax2), _BLOCK_PAIRS))
+    rows = _BLOCK_PAIRS // cols
+    blocks = [np.empty((0, 3), dtype=np.int64)]
+    for i in range(0, len(ax1), rows):
+        x1 = ax1[i : i + rows, None]
+        for j in range(0, len(ax2), cols):
+            x2 = ax2[None, j : j + cols]
             bb = a13 * x1 + a23 * x2
-            cc = a11 * x1 * x1 + a22 * x2 * x2 + a12 * x1 * x2 - mN
-            disc = bb * bb - 4 * a33 * cc
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
-            roots = sorted({(-bb + r), (-bb - r)})
-            for num in roots:
-                if num % (2 * a33) != 0:
-                    continue
-                x3 = num // (2 * a33)
-                if (x3 - lam[2]) % L != 0 or not lo3 <= x3 <= hi3:
-                    continue
-                yield (x1, x2, x3)
+            disc = bb * bb - 4 * a33 * (a11 * x1 * x1 + a22 * x2 * x2 + a12 * x1 * x2 - mN)
+            pair = np.flatnonzero(disc >= 0)
+            d = disc.ravel()[pair]
+            r = _isqrt_floor(d)
+            exact = r * r == d
+            pair, r = pair[exact], r[exact]
+            num = -bb.ravel()[pair, None] + r[:, None] * np.array([1, -1])
+            x3 = num // (2 * a33)
+            keep = (
+                (num % (2 * a33) == 0)
+                & ((x3 - lam3) % L == 0)
+                & (lo3 <= x3)
+                & (x3 <= hi3)
+            )
+            keep[:, 1] &= r > 0
+            k, root = np.nonzero(keep)
+            row, col = np.divmod(pair[k], disc.shape[1])
+            blocks.append(np.stack([ax1[i + row], ax2[j + col], x3[k, root]], axis=1))
+    y = np.concatenate(blocks)
+    pts = np.empty_like(y)
+    pts[:, perm] = y
+    return pts[np.lexsort(pts.T[::-1])]
 
 
-def _solutions_triple(instance: ProblemInstance):
+def _solutions_triple(instance: ProblemInstance) -> np.ndarray:
     """Full triple loop over the support box; validation strategy."""
     form = instance.form
-    w = instance.weight
-    lo, hi = w.support_box()
+    lo, hi = instance.weight.support_box()
     s = instance.sqrtN
     L = instance.L
     lam = instance.lam_N
     mN = instance.mN
     if instance.N > 100 * instance.L**2:
         raise ValueError("triple-loop strategy reserved for small N")
-
-    def axis_range(i: int):
-        start = math.ceil(lo[i] * s)
-        start += (lam[i] - start) % L
-        return range(start, math.floor(hi[i] * s) + 1, L)
-
-    for x1 in axis_range(0):
-        for x2 in axis_range(1):
-            for x3 in axis_range(2):
-                if form((x1, x2, x3)) == mN:
-                    yield (x1, x2, x3)
+    ax1, ax2, ax3 = (_admissible_axis(lo[i], hi[i], lam[i], L, s).tolist() for i in range(3))
+    pts = [(x1, x2, x3) for x1 in ax1 for x2 in ax2 for x3 in ax3 if form((x1, x2, x3)) == mN]
+    return np.array(pts, dtype=np.int64).reshape(-1, 3)
 
 
 def enumerate_gamma(instance: ProblemInstance, strategy: str = "sliced") -> EnumerationResult:
-    """Weighted count sum w(x/sqrt(N)) over F(x) = m0 N, x = lam_N mod L."""
-    gen = {"sliced": _solutions_sliced, "triple": _solutions_triple}.get(strategy)
-    if gen is None:
+    """Weighted count sum w(x/sqrt(N)) over F(x) = m0 N, x = lam_N mod L.
+
+    w is evaluated once on the whole point array; math.fsum is correctly
+    rounded, so the sum does not depend on the order of the points."""
+    solutions = {"sliced": _solutions_sliced, "triple": _solutions_triple}.get(strategy)
+    if solutions is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
-    s = instance.sqrtN
-    w = instance.weight
-    values = []
-    raw = 0
-    for x in gen(instance):
-        v = float(w(np.asarray(x, dtype=np.float64) / s))
-        if v > 0.0:
-            raw += 1
-            values.append(v)
+    pts = solutions(instance)
+    values = instance.weight.values(*(pts.T / instance.sqrtN))
+    values = values[values > 0.0]
     return EnumerationResult(
         N=instance.N,
         weighted=math.fsum(values),
-        raw_count=raw,
+        raw_count=int(values.size),
         wall_time=time.perf_counter() - t0,
         strategy=strategy,
     )

@@ -92,6 +92,21 @@ class TestSubcommands:
         assert check["capped_q"][0] == 1
         assert all(check["nodes_per_q"][q - 1] == 48 for q in check["capped_q"])
 
+    def test_compare_lists_skipped_identity_checks(self, cfg_file, tmp_path, capsys):
+        # h_max = 4 crosses the N = 400 cap of the expansion side at h = 2
+        p = tmp_path / "c.cfg"
+        p.write_text(cfg_file.read_text() + "h_max = 4\nquad_max_nodes = 48\nq_max = 2\nc_max = 2\n")
+        code = main(["compare", "--config", str(p), "--out", str(tmp_path), "--deterministic"])
+        assert code in (0, 1)
+        doc = json.loads((tmp_path / "compare.json").read_text())
+        assert [c["h"] for c in doc["identity_checks"]] == [1]
+        assert doc["identity_skipped"] == [
+            {"h": h, "N": 5 ** (2 * h), "reason": "N > 400"} for h in (2, 3, 4)
+        ]
+        out = capsys.readouterr().out
+        for h in (2, 3, 4):
+            assert f"h={h}: identity check skipped (N > 400, N = {5 ** (2 * h)})" in out
+
     def test_expsum_csv_schema(self, cfg_file, tmp_path):
         cfg = cfg_file.read_text() + "q_range = 1:50\nc_list = 0,0,0\n"
         p = tmp_path / "e.cfg"
@@ -194,3 +209,15 @@ class TestSubcommands:
         rc = main(["count", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 3
         assert "resource bound" in capsys.readouterr().err
+
+    def test_exit_code_3_on_int64_overflow(self, cfg_file, tmp_path, capsys):
+        # the box fits the per-axis bound; the x3-discriminant does not fit int64
+        cfg = cfg_file.read_text().replace("h = 1", "h = 5")
+        for name in ("a11", "a22"):
+            cfg = cfg.replace(f"{name} = 1", f"{name} = 1000000")
+        p = tmp_path / "wide.cfg"
+        p.write_text(cfg.replace("a33 = -1", "a33 = -1000000"))
+        rc = main(["count", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "2^62" in capsys.readouterr().err
+        assert not (tmp_path / "count.json").exists()

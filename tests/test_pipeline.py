@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qdelta import pipeline
 from qdelta.arch import (
     QuadratureSpec,
     WeightSpec,
@@ -17,6 +18,9 @@ from qdelta.arch import (
 from qdelta.expsums import sqc_grid
 from qdelta.pipeline import (
     PredictionReport,
+    _isqrt_floor,
+    _solutions_sliced,
+    _solutions_triple,
     default_c_max,
     default_kernel,
     enumerate_gamma,
@@ -30,14 +34,68 @@ from qdelta.qform import CongruenceDatum, ProblemInstance, QForm, _classify_arra
 from conftest import make_instance
 
 
+_CONGRUENCE = dict(L=2, lam=(1, 0, 0))
+_CROSS = dict(coeffs=(2, 3, 1, 2, 0, 2), m0=3, p0=7, L=2, lam=(0, 1, 0), center=(0.5, 0.4, 0.3))
+
+
+def _unit_sphere() -> ProblemInstance:
+    # x^2 + y^2 + z^2 = 1 (h = 0) in a ball around the origin
+    w = WeightSpec(center=(0.0, 0.0, 0.0), radius=1.5)
+    return ProblemInstance(QForm.diagonal(1, 1, 1), 1, 5, 0, CongruenceDatum(1, (0, 0, 0)), w)
+
+
+def _pair_loop(instance) -> np.ndarray:
+    """The per-pair loop the sliced kernel replaced, one math.isqrt per
+    congruence-admissible (x1, x2): the written-out oracle for the kernel.
+    Both x3 roots of a pair come out in ascending order."""
+    a11, a22, a33, a12, a13, a23 = instance.form.coefficients()
+    lo, hi = instance.weight.support_box()
+    s, L, lam, mN = instance.sqrtN, instance.L, instance.lam_N, instance.mN
+
+    def axis_range(i: int):
+        start = math.ceil(lo[i] * s)
+        start += (lam[i] - start) % L
+        return range(start, math.floor(hi[i] * s) + 1, L)
+
+    lo3, hi3 = math.ceil(lo[2] * s), math.floor(hi[2] * s)
+    pts = []
+    for x1 in axis_range(0):
+        for x2 in axis_range(1):
+            bb = a13 * x1 + a23 * x2
+            cc = a11 * x1 * x1 + a22 * x2 * x2 + a12 * x1 * x2 - mN
+            disc = bb * bb - 4 * a33 * cc
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            x3s = [num // (2 * a33) for num in {-bb + r, -bb - r} if num % (2 * a33) == 0]
+            pts += [(x1, x2, x3) for x3 in sorted(x3s) if (x3 - lam[2]) % L == 0 and lo3 <= x3 <= hi3]
+    return np.array(pts, dtype=np.int64).reshape(-1, 3)
+
+
+_SPHERE = dict(coeffs=(1, 1, 1), center=(1 / 3**0.5,) * 3)
+# name -> instance; the cross form at h = 1..3, the hyperboloid (a33 < 0)
+# on one sheet and across z = 0 (both x3 roots of a pair in the box), the
+# p0 = 7 sphere, with x3 = 1 mod 5 (x3 = -1 mod 5 also solves F mod 5),
+# the obstructed instance (no points) and N = 1; with a33 = 3 a square
+# discriminant can give a root with denominator 3
+_ORACLE_CASES = {
+    **{f"cross-h{h}": lambda h=h: make_instance(h=h, **_CROSS) for h in (1, 2, 3)},
+    "a33-3": lambda: make_instance(coeffs=(1, 1, 3, 0, 2, 0), h=3, center=(0.5, 0.5, 0.3)),
+    "hyperboloid-h3": lambda: make_instance(h=3),
+    "hyperboloid-z0": lambda: make_instance(h=3, center=(1.0, 0.1, 0.0)),
+    "sphere-p7-L5": lambda: make_instance(p0=7, h=3, L=5, lam=(0, 0, 1), **_SPHERE),
+    "sphere-p7-h3": lambda: make_instance(p0=7, h=3, **_SPHERE),
+    "obstructed": lambda: make_instance(L=2, lam=(1, 1, 1), **_SPHERE),
+    "unit-sphere": _unit_sphere,
+}
+
+
 class TestEnumeration:
     def test_r3_of_one(self):
         # unit sphere, N = 1 (h = 0): exactly the 6 signed unit vectors
-        w = WeightSpec(center=(0.0, 0.0, 0.0), radius=1.5)
-        inst = ProblemInstance(
-            QForm.diagonal(1, 1, 1), 1, 5, 0, CongruenceDatum(1, (0, 0, 0)), w
-        )
-        res = enumerate_gamma(inst)
+        res = enumerate_gamma(_unit_sphere())
         assert res.raw_count == 6
 
     def test_congruence_filter(self):
@@ -69,6 +127,62 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="bound"):
             enumerate_gamma(inst)
 
+    @pytest.mark.parametrize("name", list(_ORACLE_CASES))
+    def test_kernel_matches_pair_loop(self, name):
+        inst = _ORACLE_CASES[name]()
+        pts = _solutions_sliced(inst)
+        assert pts.dtype == np.int64
+        assert np.array_equal(pts, _pair_loop(inst))
+
+    @pytest.mark.parametrize("name", ["cross-h2", "hyperboloid-h3", "sphere-p7-h3", "unit-sphere"])
+    def test_kernel_block_boundaries(self, name, monkeypatch):
+        # 7 pairs per block: partial blocks, and x2 axes wider than a block
+        inst = _ORACLE_CASES[name]()
+        ref = _solutions_sliced(inst)
+        monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", 7)
+        assert np.array_equal(_solutions_sliced(inst), ref)
+
+    @pytest.mark.parametrize("name", ["cross-h3", "hyperboloid-h3", "sphere-p7-h3"])
+    def test_weighted_is_per_point_fsum(self, name):
+        inst = _ORACLE_CASES[name]()
+        res = enumerate_gamma(inst)
+        vals = [inst.weight(np.asarray(x, dtype=np.float64) / inst.sqrtN) for x in _pair_loop(inst)]
+        assert res.weighted == math.fsum(vals)
+        assert res.raw_count == sum(v > 0.0 for v in vals)
+
+    def test_isqrt_fixup_exact(self):
+        for r in (2**26, 2**26 + 1, 2**30 - 1, 2**30, 2**31 - 1):
+            d = np.array([r * r - 1, r * r, r * r + 1], dtype=np.int64)
+            assert _isqrt_floor(d).tolist() == [math.isqrt(int(v)) for v in d]
+        d = np.arange(0, 10**5, dtype=np.int64)
+        assert _isqrt_floor(d).tolist() == [math.isqrt(v) for v in range(10**5)]
+
+    def test_discriminant_overflow_preflight(self):
+        # inside the per-axis box bound, but 4 a33 a11 x1^2 is far beyond 2^62
+        inst = make_instance(coeffs=(10**6, 10**6, 10**6), h=5)
+        with pytest.raises(OverflowError, match="2\\^62"):
+            enumerate_gamma(inst)
+
+    # a33 = 0: the kernel solves along x2 (x^2 + y^2 + 2xz) or x1 (x^2 + 2yz)
+    @pytest.mark.parametrize(
+        "coeffs, center",
+        [((1, 1, 0, 0, 2, 0), (0.6, 0.8, 0.0)), ((1, 0, 0, 0, 0, 2), (0.6, 0.4, 0.8))],
+        ids=["solve-x2", "solve-x1"],
+    )
+    def test_zero_x3_square_coefficient(self, coeffs, center):
+        inst = make_instance(coeffs=coeffs, center=center)
+        pts = _solutions_sliced(inst)
+        assert len(pts) > 0
+        assert np.array_equal(pts, _solutions_triple(inst))
+        res = enumerate_gamma(inst)
+        ref = enumerate_gamma(inst, "triple")
+        assert (res.weighted, res.raw_count) == (ref.weighted, ref.raw_count)
+
+    def test_no_square_coefficient(self):
+        inst = make_instance(coeffs=(0, 0, 0, 2, 2, 2), center=(0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="a11 = a22 = a33 = 0"):
+            enumerate_gamma(inst)
+
 
 class TestExpansionBookkeeping:
     def test_parts_sum_to_total(self, hyp_instance):
@@ -95,9 +209,6 @@ class TestExpansionBookkeeping:
         assert exp.capped_q[0] == 1
         assert all(exp.nodes[q - 1] == 48 for q in exp.capped_q)
 
-
-_CONGRUENCE = dict(L=2, lam=(1, 0, 0))
-_CROSS = dict(coeffs=(2, 3, 1, 2, 0, 2), m0=3, p0=7, L=2, lam=(0, 1, 0), center=(0.5, 0.4, 0.3))
 
 
 def _tensordot_chain(instance, q_max, c_max, quad):
