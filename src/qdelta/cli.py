@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .arch import DeltaKernel, QuadratureSpec, WeightSpec, delta_symbol
-from .expsums import crt_split, sqc_value
+from .expsums import crt_split, sqc_values
 from .localdens import singular_series
 from .pipeline import (
     enumerate_gamma,
@@ -238,13 +238,13 @@ def cmd_expsum(args, cfg) -> int:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "q1", "q2", "c1", "c2", "c3", "re", "im", "abs", "class"])
+        tags = [_class_tag(instance, c) for c in c_list]
         for q in range(q_lo, q_hi + 1):
             q1, q2 = crt_split(instance, q)
-            for c in c_list:
-                val = sqc_value(instance, q, c)
+            for c, tag, val in zip(c_list, tags, sqc_values(instance, q, c_list)):
                 writer.writerow(
                     [q, q1, q2, c[0], c[1], c[2],
-                     repr(val.real), repr(val.imag), repr(abs(val)), _class_tag(instance, c)]
+                     repr(val.real), repr(val.imag), repr(abs(val)), tag]
                 )
     print(f"config {config_sha256(cfg)}")
     print(f"wrote {path}")

@@ -11,10 +11,11 @@ formula; `*_literal` variants keep the raw double loop and serve as oracles
 for that collapse.  S_q(c), S1, S2 and the cone sum calT1 are one object, the
 amplitude A(s) = [L^2 | g] c_q(g / L^2) with g = F(scale*s + lam) - target,
 s mod qL, summed against e_{qL}(c.s).  One kernel, `_amplitude_rows`, builds
-A row by row; it has two consumers: `_amplitude_sum` for a single c (memory
-O((qL)^2)) and `_amplitude_table` for every c mod qL at once (one FFT).  All
-vectorized reductions run in a fixed order so results are reproducible
-bit-for-bit.
+A row by row; it has two consumers: `_amplitude_sums` for a list of c, which
+builds each row once and contracts it against every c's phases (memory
+O((qL)^2 + len(cs) qL)), and `_amplitude_table` for every c mod qL at once
+(one FFT).  All vectorized reductions run in a fixed order, the same for a c
+whatever list it comes in, so results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _BRUTE_MODULUS_BOUND = 10**4
 _CALS_BOUND = 10**4
 _CALA_BOUND = 3000
 # Largest qL whose S_q(c) comes from a (qL)^3 residue table (sqc_grid) or the
-# definition (brute_S); beyond it, sqc_value takes the CRT split.
+# definition (brute_S); beyond it, sqc_values takes the CRT split.
 GRID_MODULUS_BOUND = 200
 
 
@@ -175,21 +176,25 @@ def _amplitude_rows(form, q: int, L: int, scale: int, lam, target: int):
     return map(row, range(size))
 
 
-def _amplitude_sum(form, q: int, L: int, scale: int, lam, target: int, c) -> ComplexSum:
-    """sum_s A(s) e_{qL}(c.s), one row of A at a time; the term count is
+def _amplitude_sums(form, q: int, L: int, scale: int, lam, target: int, cs) -> list[ComplexSum]:
+    """sum_s A(s) e_{qL}(c.s) for each c in cs, one row of A at a time: each
+    row is built once and contracted against every c; the term count is
     phi(q) times the number of s with L^2 | g."""
     rows = _amplitude_rows(form, q, L, scale, lam, target)
     size = q * L
-    c = tuple(int(v) % size for v in c)
+    cs = [tuple(int(v) % size for v in c) for c in cs]
     tab = _exp_table(size)
-    ph2 = tab[(c[1] * np.arange(size)) % size]
-    ph3 = tab[(c[2] * np.arange(size)) % size]
-    total = 0j
+    s = np.arange(size)
+    ph2 = [tab[(c[1] * s) % size] for c in cs]
+    ph3 = [tab[(c[2] * s) % size] for c in cs]
+    totals = [0j] * len(cs)
     nsol = 0
     for s1, (amp, count) in enumerate(rows):
-        total += tab[(c[0] * s1) % size] * _sum_masked_phase(amp, ph2, ph3)
+        for k, c in enumerate(cs):
+            totals[k] += tab[(c[0] * s1) % size] * _sum_masked_phase(amp, ph2[k], ph3[k])
         nsol += count
-    return ComplexSum(total, int(sympy.totient(q)) * nsol)
+    terms = int(sympy.totient(q)) * nsol
+    return [ComplexSum(total, terms) for total in totals]
 
 
 def _amplitude_table(form, q: int, L: int, scale: int, lam, target: int) -> np.ndarray:
@@ -204,8 +209,13 @@ def brute_S(instance: ProblemInstance, q: int, c) -> ComplexSum:
 
     The a-sum is a Ramanujan sum (see `brute_S_literal` for the raw loop).
     """
+    return _S_sums(instance, q, [c])[0]
+
+
+def _S_sums(instance: ProblemInstance, q: int, cs) -> list[ComplexSum]:
+    """brute_S at each c in cs, from one pass over the residue amplitude."""
     L = instance.L
-    return _amplitude_sum(instance.form, q, L, L, instance.lam_N, instance.mN, c)
+    return _amplitude_sums(instance.form, q, L, L, instance.lam_N, instance.mN, cs)
 
 
 def brute_S_literal(instance: ProblemInstance, q: int, c) -> ComplexSum:
@@ -263,9 +273,14 @@ def brute_S_reordered(instance: ProblemInstance, q: int, c) -> ComplexSum:
 def brute_S1(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
     """Definition-level S1: sigma mod q1, a1 mod q1 coprime,
     e_{q1}(a1 (F(q2 L^2 sigma + lam_N) - m0 N) + c.sigma)."""
+    return _S1_sums(instance, q1, q2, [c])[0]
+
+
+def _S1_sums(instance: ProblemInstance, q1: int, q2: int, cs) -> list[ComplexSum]:
+    """brute_S1 at each c in cs, from one pass over the residue amplitude."""
     _check_split(instance, q1, q2)
     scale = q2 * instance.L * instance.L
-    return _amplitude_sum(instance.form, q1, 1, scale, instance.lam_N, instance.mN, c)
+    return _amplitude_sums(instance.form, q1, 1, scale, instance.lam_N, instance.mN, cs)
 
 
 def brute_S1_grid(instance: ProblemInstance, q1: int, q2: int) -> np.ndarray:
@@ -278,9 +293,14 @@ def brute_S1_grid(instance: ProblemInstance, q1: int, q2: int) -> np.ndarray:
 def brute_S2(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
     """Definition-level S2: sigma mod q2 L with L^2 | F(L q1 sigma + lam_N) - m0 N,
     a2 mod q2 coprime, e_{q2 L}(a2 (...)/L + c.sigma)."""
+    return _S2_sums(instance, q1, q2, [c])[0]
+
+
+def _S2_sums(instance: ProblemInstance, q1: int, q2: int, cs) -> list[ComplexSum]:
+    """brute_S2 at each c in cs, from one pass over the residue amplitude."""
     _check_split(instance, q1, q2)
     L = instance.L
-    return _amplitude_sum(instance.form, q2, L, L * q1, instance.lam_N, instance.mN, c)
+    return _amplitude_sums(instance.form, q2, L, L * q1, instance.lam_N, instance.mN, cs)
 
 
 def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
@@ -397,7 +417,7 @@ def calT1(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
         raise ValueError("require gcd(x, q2_flat) = 1")
     xinv = pow(x % flat, -1, flat)
     c = tuple(xinv * int(v) for v in c)
-    return _amplitude_sum(instance.form, flat, 1, 1, (0, 0, 0), 0, c)
+    return _amplitude_sums(instance.form, flat, 1, 1, (0, 0, 0), 0, [c])[0]
 
 
 def calT2(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
@@ -430,15 +450,24 @@ def sqc_grid(instance: ProblemInstance, q: int) -> np.ndarray:
     return _amplitude_table(instance.form, q, L, L, instance.lam_N, instance.mN)
 
 
-def sqc_value(instance: ProblemInstance, q: int, c) -> complex:
-    """S_q(c) at one c: the definition (brute_S) up to qL = GRID_MODULUS_BOUND,
-    beyond it the CRT split S1 * S2 with S1 in closed form where Lemma 2.1
-    applies (q1 odd and prime to m0 N), else by its definition."""
+def sqc_values(instance: ProblemInstance, q: int, cs) -> list[complex]:
+    """S_q(c) at each c in cs: the definition (brute_S) up to qL =
+    GRID_MODULUS_BOUND, beyond it the CRT split S1 * S2 with S1 in closed form
+    where Lemma 2.1 applies (q1 odd and prime to m0 N), else by its definition.
+    Each residue amplitude is built once for the whole list, and a value does
+    not depend on the list it comes in."""
+    if not cs:
+        return []
     if q * instance.L <= GRID_MODULUS_BOUND:
-        return complex(brute_S(instance, q, c).value)
+        return [complex(s.value) for s in _S_sums(instance, q, cs)]
     q1, q2 = crt_split(instance, q)
     if q1 % 2 == 1 and math.gcd(q1, instance.mN) == 1:
-        s1 = lemma21_eval(instance, q1, q2, c).value
+        s1 = [lemma21_eval(instance, q1, q2, c).value for c in cs]
     else:
-        s1 = brute_S1(instance, q1, q2, c).value
-    return complex(s1 * brute_S2(instance, q1, q2, c).value)
+        s1 = [s.value for s in _S1_sums(instance, q1, q2, cs)]
+    return [complex(a * b.value) for a, b in zip(s1, _S2_sums(instance, q1, q2, cs))]
+
+
+def sqc_value(instance: ProblemInstance, q: int, c) -> complex:
+    """S_q(c) at one c; see sqc_values."""
+    return sqc_values(instance, q, [c])[0]

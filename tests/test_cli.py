@@ -10,6 +10,7 @@ import pytest
 
 from qdelta import cli, localdens
 from qdelta.cli import ConfigError, build_instance, config_sha256, main, parse_config
+from qdelta.expsums import sqc_value
 from qdelta.modarith import primes_up_to
 
 HYP_CFG = """\
@@ -118,6 +119,23 @@ class TestSubcommands:
         assert set(rows[0]) == {"q", "q1", "q2", "c1", "c2", "c3", "re", "im", "abs", "class"}
         assert all(r["class"] == "zero" for r in rows)
         assert float(rows[0]["re"]) == 1.0
+
+    def test_expsum_rows_match_one_c_values(self, cfg_file, tmp_path):
+        # qdelta expsum computes each q's values as one batch; every value
+        # must equal sqc_value called for that c alone, on both routes
+        cfg = cfg_file.read_text().replace("h = 1", "h = 2")
+        cfg += "q_range = 198:206\nc_list = 1,2,0; 0,0,0; -3,1,4\n"
+        p = tmp_path / "e.cfg"
+        p.write_text(cfg)
+        assert main(["expsum", "--config", str(p), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "expsum.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9 * 3
+        inst = build_instance(parse_config(str(p)))
+        for r in rows:
+            q, c = int(r["q"]), (int(r["c1"]), int(r["c2"]), int(r["c3"]))
+            val = sqc_value(inst, q, c)
+            assert (r["re"], r["im"]) == (repr(val.real), repr(val.imag)), (q, c)
 
     def test_density_csv_schema(self, cfg_file, tmp_path):
         cfg = cfg_file.read_text() + "p_max_density = 100\n"

@@ -7,9 +7,14 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from qdelta.expsums import (
     GRID_MODULUS_BOUND,
+    ComplexSum,
+    _amplitude_rows,
+    _exp_table,
+    _sum_masked_phase,
     brute_S,
     brute_S1,
     brute_S1_grid,
@@ -24,6 +29,7 @@ from qdelta.expsums import (
     lemma21_eval,
     sqc_grid,
     sqc_value,
+    sqc_values,
 )
 from qdelta.modarith import characters_mod, smooth_part
 
@@ -122,6 +128,66 @@ class TestClosedFormRoute:
         for c in ((0, 0, 0), (1, -2, 3), (4, 1, -1)):
             want = brute_S(inst, q, c).value
             assert abs(sqc_value(inst, q, c) - want) <= 1e-9 * max(1.0, abs(want)), c
+
+
+def _amplitude_sum(form, q: int, L: int, scale: int, lam, target: int, c) -> ComplexSum:
+    """The one-c residue-row sum the batch kernel replaced, written out: the
+    oracle for `_amplitude_sums`."""
+    rows = _amplitude_rows(form, q, L, scale, lam, target)
+    size = q * L
+    c = tuple(int(v) % size for v in c)
+    tab = _exp_table(size)
+    ph2 = tab[(c[1] * np.arange(size)) % size]
+    ph3 = tab[(c[2] * np.arange(size)) % size]
+    total = 0j
+    nsol = 0
+    for s1, (amp, count) in enumerate(rows):
+        total += tab[(c[0] * s1) % size] * _sum_masked_phase(amp, ph2, ph3)
+        nsol += count
+    return ComplexSum(total, int(sympy.totient(q)) * nsol)
+
+
+class TestBatchedSums:
+    """Every route through the batch kernel against the one-c oracle, `==` on
+    value and term count: a value does not depend on the batch it is in."""
+
+    # a repeated c, the zero frequency, negative entries and entries >= qL
+    BATCH = [(1, 2, 0), (0, 0, 0), (-1, 3, -2), (1, 2, 0), (450, 1000, -777)]
+
+    @pytest.mark.parametrize(
+        "h, L, lam, q",
+        [
+            (2, 1, (0, 0, 0), 6),
+            (2, 1, (0, 0, 0), 200),    # qL = GRID_MODULUS_BOUND: brute_S
+            (2, 1, (0, 0, 0), 201),    # S1 in closed form
+            (2, 1, (0, 0, 0), 205),    # S1 by its definition
+            (1, 2, (1, 0, 0), 3),
+            (1, 2, (1, 0, 0), 100),    # qL = 200
+            (1, 2, (1, 0, 0), 101),    # qL = 202, S1 in closed form
+            (1, 2, (1, 0, 0), 105),    # qL = 210, S1 by its definition
+        ],
+    )
+    def test_matches_one_c_oracle(self, h, L, lam, q):
+        inst = make_instance(h=h, L=L, lam=lam)
+        form, lam_N, mN = inst.form, inst.lam_N, inst.mN
+        q1, q2 = crt_split(inst, q)
+        closed_s1 = q1 % 2 == 1 and math.gcd(q1, mN) == 1
+        for c, got in zip(self.BATCH, sqc_values(inst, q, self.BATCH), strict=True):
+            s1 = _amplitude_sum(form, q1, 1, q2 * L * L, lam_N, mN, c)
+            s2 = _amplitude_sum(form, q2, L, L * q1, lam_N, mN, c)
+            assert brute_S1(inst, q1, q2, c) == s1, c
+            assert brute_S2(inst, q1, q2, c) == s2, c
+            if q * L <= GRID_MODULUS_BOUND:
+                whole = _amplitude_sum(form, q, L, L, lam_N, mN, c)
+                assert brute_S(inst, q, c) == whole, c
+                assert got == complex(whole.value), c
+            else:
+                front = lemma21_eval(inst, q1, q2, c).value if closed_s1 else s1.value
+                assert got == complex(front * s2.value), c
+
+    def test_empty_batch(self, hyp):
+        assert sqc_values(hyp, 7, []) == []
+        assert sqc_values(hyp, 201, []) == []
 
 
 class TestLemma21:
