@@ -3,6 +3,12 @@ integrals and the singular integral.
 
 Every integrand is w(t) g(F(t) - m0) on a tensor grid; w and F are evaluated
 by broadcasting the three 1-D axes (np.ix_), never on a stacked point array.
+Two node rules span the grids: tensor Gauss-Legendre for osc_integral (the
+oracle of the expansion's integrals) and the singular integral, and the
+uniform trapezoid rule for the expansion side (pipeline.poisson_rhs).  Its
+amplitude vanishes with all its derivatives on the box edge, so the trapezoid
+rule converges spectrally with about 2 nodes per phase cycle.  The kernel
+amplitude is built in slabs of at most _SLAB_POINTS grid points.
 
 The kernel h(x, y) = sum_{j>=1} (xj)^{-1} [omega(xj) - omega(|y|/(xj))] is
 built from a bump omega supported on [1/2, 1].  Two exact facts drive the
@@ -250,9 +256,30 @@ def delta_symbol_literal(kernel: DeltaKernel, n: int, q_max: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Uniform trapezoid rule of the expansion side (poisson_rhs): its integrand
+# w(t) h(r, F(t) - m0) is smooth and vanishes with all its derivatives on the
+# edge of the support box, so the rule converges spectrally and needs about
+# 2 nodes per phase cycle and 1 per amplitude feature, against 7 and 5 for
+# tensor Gauss-Legendre.
+_TRAPEZOID_PER_CYCLE = 2
+_TRAPEZOID_PER_FEATURE = 1
+
+# grid points per slab of _amplitude_grid: 512 KiB per float64 temporary.
+# Measured on the identity and osc_monitor inputs (2^14 to 2^20 and one
+# block): peak RSS grows with the slab above 2^16, time is flat or worse
+_SLAB_POINTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor Gauss-Legendre resolution control."""
+    """Node counts per axis for the two quadrature rules.
+
+    `nodes_for` is the tensor Gauss-Legendre rule of osc_integral, set by
+    nodes_per_cycle and nodes_per_feature (refine_factor sizes its error
+    grid).  `trapezoid_nodes_for` is the uniform trapezoid rule of
+    pipeline.poisson_rhs, with the fixed per-cycle and per-feature constants
+    above.  base_nodes and max_nodes bound both; singular_integral reads
+    max_nodes only."""
 
     base_nodes: int = 24
     nodes_per_cycle: int = 7
@@ -261,15 +288,18 @@ class QuadratureSpec:
     refine_factor: float = 1.35
 
     def nodes_for(self, cycles: float, features: float = 0.0) -> int:
-        """Node count resolving `cycles` phase oscillations plus `features`
-        amplitude features per axis (the kernel amplitude varies on the scale
-        r in its second argument, which is much finer than the phase for
-        small r)."""
-        n = max(
-            self.base_nodes,
-            int(math.ceil(self.nodes_per_cycle * cycles + self.nodes_per_feature * features)) + 8,
-        )
-        return min(n, self.max_nodes)
+        """Gauss-Legendre node count resolving `cycles` phase oscillations
+        plus `features` amplitude features per axis (the kernel amplitude
+        varies on the scale r in its second argument, which is much finer
+        than the phase for small r)."""
+        return self._rule(self.nodes_per_cycle * cycles + self.nodes_per_feature * features)
+
+    def trapezoid_nodes_for(self, cycles: float, features: float = 0.0) -> int:
+        """Trapezoid node count for the same `cycles` and `features`."""
+        return self._rule(_TRAPEZOID_PER_CYCLE * cycles + _TRAPEZOID_PER_FEATURE * features)
+
+    def _rule(self, demand: float) -> int:
+        return min(self.max_nodes, max(self.base_nodes, int(math.ceil(demand)) + 8))
 
 
 def _gl_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,24 +315,57 @@ def _gl_box(weight: WeightSpec, nodes) -> tuple[list[np.ndarray], list[np.ndarra
     return [x for x, _ in pairs], [w for _, w in pairs]
 
 
+def _trapezoid_box(weight: WeightSpec, nodes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Uniform trapezoid nodes and weights along each axis of the support
+    box: the n interior nodes lo + k h, k = 1..n, h = (hi - lo) / (n + 1),
+    each of weight h (the integrand vanishes at both ends)."""
+    lo, hi = weight.support_box()
+    axes, wts = [], []
+    for i in range(3):
+        h = (float(hi[i]) - float(lo[i])) / (nodes[i] + 1)
+        axes.append(float(lo[i]) + h * np.arange(1, nodes[i] + 1))
+        wts.append(np.full(nodes[i], h))
+    return axes, wts
+
+
 def _amplitude_grid(
     instance: ProblemInstance,
     kernel: DeltaKernel,
     r: float,
     nodes: tuple[int, int, int],
     yscale: float = 1.0,
+    *,
+    box=_gl_box,
+    out: np.ndarray | None = None,
 ):
-    """Weighted kernel amplitude w(t) h(r, yscale*(F(t)-m0)) on a tensor GL
-    grid over the weight support box; returns (axes, axis weights, amplitude
+    """Weighted kernel amplitude w(t) h(r, yscale*(F(t)-m0)) on the tensor
+    grid `box(weight, nodes)` (Gauss-Legendre by default, or _trapezoid_box)
+    over the weight support box; returns (axes, axis weights, amplitude
     array).  yscale != 1 arises when the kernel scale is decoupled from the
-    geometric scale sqrt(N)/L."""
-    axes, wts = _gl_box(instance.weight, nodes)
-    grid = np.ix_(*axes)
-    amp = instance.weight.values(*grid)
-    mask = amp > 0.0
-    if np.any(mask):
-        y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
-        amp[mask] *= kernel.h_many(r, y)
+    geometric scale sqrt(N)/L.
+
+    The grid is filled slab by slab: whole x1 rows while they fit in
+    _SLAB_POINTS points, and one row split along x2 when it is wider (a slab
+    is never narrower than one x3 line), so every temporary of w, F - m0 and
+    h_many is slab-sized.  The values are bit-identical to one evaluation
+    over the whole grid: h_many's terms past a slab's own j-range are
+    (omega(xj) - omega(|y|/xj))/xj = (0 - 0)/xj = +0.0.  The amplitude is
+    written into `out` when given (a contiguous float64 array with at least
+    n0 n1 n2 entries; its leading ones are used)."""
+    axes, wts = box(instance.weight, nodes)
+    n0, n1, n2 = nodes
+    amp = np.empty(nodes) if out is None else out.reshape(-1)[: n0 * n1 * n2].reshape(nodes)
+    cols = max(1, min(n1, _SLAB_POINTS // n2))
+    rows = max(1, _SLAB_POINTS // (cols * n2))
+    for i in range(0, n0, rows):
+        for j in range(0, n1, cols):
+            grid = np.ix_(axes[0][i : i + rows], axes[1][j : j + cols], axes[2])
+            slab = instance.weight.values(*grid)
+            mask = slab > 0.0
+            if np.any(mask):
+                y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
+                slab[mask] *= kernel.h_many(r, y)
+            amp[i : i + rows, j : j + cols] = slab
     return axes, wts, amp
 
 

@@ -22,6 +22,7 @@ from .expsums import crt_split, sqc_values
 from .localdens import singular_series
 from .pipeline import (
     enumerate_gamma,
+    expansion_plan,
     extract_secondary,
     instance_echo,
     poisson_rhs,
@@ -314,6 +315,15 @@ def cmd_compare(args, cfg) -> int:
     p_max = _get_int(cfg, "P_max", 300)
     quad = quad_from_config(cfg)
     h_values = tuple(range(h_lo, h_hi + 1))
+    kwargs = {}
+    if "q_max" in cfg:
+        kwargs["q_max"] = _get_int(cfg, "q_max")
+    if "c_max" in cfg:
+        kwargs["c_max"] = _get_int(cfg, "c_max")
+    # the expansions' memory preflight, before any other work
+    for h in h_values:
+        if instance.with_h(h).N <= _IDENTITY_N_MAX:
+            expansion_plan(instance.with_h(h), quad=quad, **kwargs)
     t0 = time.perf_counter()
     report = predict_main(instance, h_values=h_values, p_max=p_max, quad=quad)
     secondary = extract_secondary(report)
@@ -321,11 +331,6 @@ def cmd_compare(args, cfg) -> int:
     # identity check on every h small enough for the truncated expansion;
     # the others are listed with the reason they were skipped
     identity, skipped = [], []
-    kwargs = {}
-    if "q_max" in cfg:
-        kwargs["q_max"] = _get_int(cfg, "q_max")
-    if "c_max" in cfg:
-        kwargs["c_max"] = _get_int(cfg, "c_max")
     ok = True
     for h, gamma in zip(h_values, report.gammas):
         inst_h = instance.with_h(h)

@@ -14,7 +14,12 @@ The expansion evaluates, term by term over (q, c),
 
 with S_q(c) from expsums (FFT grid for small qL, closed-form split beyond)
 and the oscillatory integral from arch on a per-q amplitude grid shared by
-all c.  Per q the window of e_{qL^2}(c.lam_N) I(c) is one separable
+all c.  The grid is the uniform trapezoid rule (arch._trapezoid_box, with
+QuadratureSpec.trapezoid_nodes_for per q); node counts never rise with q, so
+one buffer sized at q = 1 holds every q's amplitude.  Before anything is
+allocated, a memory preflight rejects (ValueError) an expansion whose
+largest amplitude, contraction intermediate and flat window exceed
+_MEMORY_BUDGET.  Per q the window of e_{qL^2}(c.lam_N) I(c) is one separable
 contraction of the real amplitude with three axis-factor matrices (a real
 GEMM, then two complex matmuls) over the half window c1 >= 0; the other
 half is its complex conjugate.  Every c is tagged exceptional/ordinary and
@@ -37,6 +42,7 @@ from .arch import (
     _amplitude_grid,
     _axis_factors,
     _contract_axes,
+    _trapezoid_box,
     form_range,
     singular_integral,
 )
@@ -266,6 +272,52 @@ def default_c_max(instance: ProblemInstance) -> int:
     return int(math.ceil(_CWINDOW_FACTOR * instance.L * max_gradient(instance)))
 
 
+# bytes poisson_rhs may hold at once; over it, expansion_plan raises
+_MEMORY_BUDGET = 2 << 30
+# flat-window bytes per dual frequency c in poisson_rhs, an upper bound: its
+# coordinates, masks, S_q(c), contraction, mirror and terms peaked at about
+# 101 bytes per c on the congruence instance (traced allocations)
+_WINDOW_BYTES = 128
+
+
+def expansion_plan(
+    instance: ProblemInstance,
+    q_max: int | None = None,
+    c_max: int | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
+    kernel: DeltaKernel | None = None,
+) -> tuple[DeltaKernel, int, int, list[int]]:
+    """Kernel, q_max, c_max and the trapezoid node count per axis at each
+    q = 1..q_max of poisson_rhs, after its memory preflight.
+
+    The preflight counts, in float64 values, the largest amplitude grid
+    (n^3) and the contraction intermediate (2 (c_max + 1) n^2), plus
+    _WINDOW_BYTES per point of the (2 c_max + 1)^3 window, and raises
+    ValueError above _MEMORY_BUDGET: nothing is clamped to fit."""
+    if kernel is None:
+        kernel = default_kernel(instance)
+    if q_max is None:
+        q_max = default_q_max(instance, kernel)
+    if c_max is None:
+        c_max = default_c_max(instance)
+    yscale = (float(instance.Q) / kernel.Q) ** 2
+    fr = form_range(instance)
+    nodes = []
+    for q in range(1, q_max + 1):
+        rk = q / kernel.Q  # kernel scale (amplitude)
+        rp = q / float(instance.Q)  # geometric scale (phase)
+        cycles = 2.0 * instance.weight.radius * c_max / (instance.L * rp)
+        nodes.append(quad.trapezoid_nodes_for(cycles, 2.0 * yscale * fr / rk))
+    n = max(nodes, default=0)
+    need = 8 * (n**3 + 2 * (c_max + 1) * n * n) + _WINDOW_BYTES * (2 * c_max + 1) ** 3
+    if need > _MEMORY_BUDGET:
+        raise ValueError(
+            f"delta expansion needs about {need / 2**30:.3g} GiB ({n} nodes per axis, "
+            f"c_max = {c_max}), over the {_MEMORY_BUDGET / 2**30:.3g} GiB budget"
+        )
+    return kernel, q_max, c_max, nodes
+
+
 def poisson_rhs(
     instance: ProblemInstance,
     q_max: int | None = None,
@@ -275,15 +327,10 @@ def poisson_rhs(
     tail_budget_frac: float = 0.01,
 ) -> DeltaExpansion:
     """Truncated delta expansion matching enumerate_gamma."""
-    if kernel is None:
-        kernel = default_kernel(instance)
+    kernel, q_max, c_max, nodes_per_q = expansion_plan(instance, q_max, c_max, quad, kernel)
     Q = kernel.Q
     Qgeo = float(instance.Q)
     yscale = (Qgeo / Q) ** 2
-    if q_max is None:
-        q_max = default_q_max(instance, kernel)
-    if c_max is None:
-        c_max = default_c_max(instance)
     L = instance.L
     lam = instance.lam_N
     prefac = yscale * instance.sqrtN / L
@@ -303,16 +350,15 @@ def poisson_rhs(
     ordinary = 0j
     shell = 0.0
     n_terms = 0
-    nodes_per_q = []
-    fr = form_range(instance)
-    for q in range(1, q_max + 1):
+    # every q's amplitude goes to a prefix of one buffer sized for the most
+    # nodes (q = 1): no q faults in fresh pages for its grid
+    buf = np.empty(max(nodes_per_q, default=0) ** 3)
+    for q, nodes in enumerate(nodes_per_q, 1):
         rk = q / Q  # kernel scale (amplitude)
         rp = q / Qgeo  # geometric scale (phase)
-        nodes = quad.nodes_for(
-            2.0 * instance.weight.radius * c_max / (L * rp), 2.0 * yscale * fr / rk
+        axes, wts, amp = _amplitude_grid(
+            instance, kernel, rk, (nodes, nodes, nodes), yscale, box=_trapezoid_box, out=buf
         )
-        nodes_per_q.append(nodes)
-        axes, wts, amp = _amplitude_grid(instance, kernel, rk, (nodes, nodes, nodes), yscale)
         if not np.any(amp):
             continue
         qL = q * L
@@ -339,9 +385,9 @@ def poisson_rhs(
         ordinary += complex(terms[ord_mask].sum())
         shell += float(np.abs(terms[shell_mask]).sum())
         n_terms += terms.size
-        # release this q's grid- and window-sized arrays before the next q
-        # builds its own: the loop's peak memory is then one q's arrays,
-        # not the previous q's held alongside the next q's contraction
+        # release this q's window-sized arrays before the next q builds its
+        # own: the loop's peak memory is then one q's arrays, not the
+        # previous q's held alongside the next q's contraction
         del axes, wts, amp, S, P, U, terms
     budget = tail_budget_frac * instance.sqrtN
     return DeltaExpansion(

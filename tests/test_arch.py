@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from qdelta import arch
 from qdelta.arch import (
     DeltaKernel,
     QuadratureSpec,
@@ -16,7 +17,9 @@ from qdelta.arch import (
     _amplitude_grid,
     _axis_factors,
     _contract_axes,
+    _gl_box,
     _mollified,
+    _trapezoid_box,
     coarea_integral,
     delta_symbol,
     delta_symbol_literal,
@@ -24,6 +27,7 @@ from qdelta.arch import (
     osc_integral,
     singular_integral,
 )
+from qdelta.qform import form_values
 
 from conftest import HYP_CENTER, make_instance
 
@@ -203,6 +207,56 @@ class TestGridLayer:
             want = w * kernel.h(r, yscale * _form_ref(inst, t)) if w > 0 else 0.0
             assert abs(amp[i, j, k] - want) <= 1e-12 * max(1.0, abs(want)), (i, j, k)
 
+    @pytest.mark.parametrize("box", [_gl_box, _trapezoid_box], ids=["gl", "trapezoid"])
+    @pytest.mark.parametrize("profile", ["ball", "box"])
+    @pytest.mark.parametrize("slab", [7, 50, 300, None], ids=["7", "50", "300", "whole"])
+    def test_slabs_match_one_block(self, monkeypatch, box, profile, slab):
+        # slabs of 7 points are single x3 lines, 50 splits x1 rows along x2,
+        # 300 takes two whole rows, and None the whole grid in one slab
+        inst = make_instance(coeffs=(1, 1, -1, 2, 0, -2), L=2, lam=(1, 0, 0), profile=profile)
+        kernel = DeltaKernel(Q=5.0)
+        nodes, r, yscale = (9, 10, 11), 0.3, 0.7
+        monkeypatch.setattr(arch, "_SLAB_POINTS", slab or math.prod(nodes))
+        axes, wts, amp = _amplitude_grid(inst, kernel, r, nodes, yscale, box=box)
+        ref_axes, ref_wts = box(inst.weight, nodes)
+        for got, want in zip(axes + wts, ref_axes + ref_wts):
+            assert np.array_equal(got, want)
+        # the one-block evaluation, written out: w, F - m0 and h_many over
+        # the whole grid at once, with h_many's j-range set by the whole grid
+        grid = np.ix_(*ref_axes)
+        want = inst.weight.values(*grid)
+        mask = want > 0.0
+        want[mask] *= kernel.h_many(r, yscale * (form_values(inst.form, *grid)[mask] - inst.m0))
+        assert np.count_nonzero(want) > 50
+        assert np.array_equal(amp, want)
+        assert np.array_equal(np.signbit(amp), np.signbit(want))
+        # into a prefix of a larger buffer: the same values, in place
+        buf = np.full(2 * amp.size, np.nan)
+        _, _, into = _amplitude_grid(inst, kernel, r, nodes, yscale, box=box, out=buf)
+        assert np.shares_memory(into, buf)
+        assert np.array_equal(into, want)
+
+    def test_trapezoid_axis_converges_on_bump(self):
+        # the bump vanishes with all its derivatives at both ends of its
+        # support, so the trapezoid rule converges faster than any power
+        w = WeightSpec(center=(0.3, 0.0, 0.0), radius=0.7, profile="box")
+
+        def bump(x):
+            u = (x - 0.3) / 0.7
+            return math.exp(1.0 - 1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
+
+        ref, _ = scipy_quad(bump, -0.4, 1.0, epsabs=1e-14, epsrel=1e-13)
+        errs = []
+        for n in (8, 16, 32, 64, 128):
+            axes, wts = _trapezoid_box(w, (n, 1, 1))
+            h = 1.4 / (n + 1)
+            assert np.allclose(axes[0], -0.4 + h * np.arange(1, n + 1), rtol=0, atol=1e-15)
+            assert np.all(wts[0] == h)
+            errs.append(abs(math.fsum(wi * bump(x) for x, wi in zip(axes[0], wts[0])) - ref))
+        # each doubling beats a fourth-order rule's 16-fold gain
+        assert all(b < a / 16 for a, b in zip(errs, errs[1:])), errs
+        assert errs[-1] < 1e-9
+
     @pytest.mark.parametrize("profile", ["ball", "box"])
     def test_mollified_matches_loop(self, profile):
         inst = make_instance(coeffs=(1, 1, -1, 2, 0, -2), profile=profile)
@@ -228,3 +282,10 @@ class TestQuadratureSpec:
         assert q.nodes_for(10.0) > q.nodes_for(1.0)
         assert q.nodes_for(10.0, 50.0) > q.nodes_for(10.0)
         assert q.nodes_for(1e9) == q.max_nodes
+
+    def test_trapezoid_rule(self):
+        q = QuadratureSpec()
+        assert q.trapezoid_nodes_for(0.0) == q.base_nodes
+        assert q.trapezoid_nodes_for(50.0, 20.5) == 2 * 50 + 21 + 8
+        assert q.trapezoid_nodes_for(50.0, 20.5) < q.nodes_for(50.0, 20.5)
+        assert q.trapezoid_nodes_for(1e9) == q.max_nodes

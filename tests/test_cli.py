@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,19 @@ class TestSubcommands:
         rc = main(["count", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 3
         assert "resource bound" in capsys.readouterr().err
+
+    def test_exit_code_3_on_expansion_memory(self, cfg_file, tmp_path, capsys):
+        # at c_max = 400 the q = 1 grid asks for 4846 nodes per axis (about
+        # 1 TiB); the preflight refuses it before the main-term work starts
+        p = tmp_path / "huge.cfg"
+        p.write_text(cfg_file.read_text() + "quad_max_nodes = 5000\nc_max = 400\n")
+        t0 = time.perf_counter()
+        rc = main(["compare", "--config", str(p), "--out", str(tmp_path)])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "resource bound" in err and "4846 nodes per axis" in err
+        assert not (tmp_path / "compare.json").exists()
 
     def test_exit_code_3_on_int64_overflow(self, cfg_file, tmp_path, capsys):
         # the box fits the per-axis bound; the x3-discriminant does not fit int64

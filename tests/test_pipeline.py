@@ -13,6 +13,7 @@ from qdelta.arch import (
     WeightSpec,
     _amplitude_grid,
     _contract_axes,
+    _trapezoid_box,
     form_range,
 )
 from qdelta.expsums import sqc_grid
@@ -213,7 +214,8 @@ class TestExpansionBookkeeping:
 
 def _tensordot_chain(instance, q_max, c_max, quad):
     """The expansion as a tensordot, two einsums and a flat window phase
-    e_{qL^2}(c.lam): the written-out reference for poisson_rhs's GEMM chain."""
+    e_{qL^2}(c.lam), on poisson_rhs's trapezoid grids and node rule: the
+    written-out reference for its GEMM chain."""
     kernel = default_kernel(instance)
     yscale = (float(instance.Q) / kernel.Q) ** 2
     L, lam = instance.L, instance.lam_N
@@ -227,10 +229,10 @@ def _tensordot_chain(instance, q_max, c_max, quad):
     sums = dict.fromkeys([*masks, "shell_mass"], 0.0)
     for q in range(1, q_max + 1):
         rk, rp = q / kernel.Q, q / float(instance.Q)
-        nodes = quad.nodes_for(
+        nodes = quad.trapezoid_nodes_for(
             2.0 * instance.weight.radius * c_max / (L * rp), 2.0 * yscale * form_range(instance) / rk
         )
-        axes, wts, amp = _amplitude_grid(instance, kernel, rk, (nodes,) * 3, yscale)
+        axes, wts, amp = _amplitude_grid(instance, kernel, rk, (nodes,) * 3, yscale, box=_trapezoid_box)
         qL, qL2 = q * L, q * L * L
         S = sqc_grid(instance, q)[C1 % qL, C2 % qL, C3 % qL]
         P = [np.exp(-2j * np.pi * np.outer(cvals / L, axes[i]) / rp) * wts[i] for i in range(3)]
@@ -271,6 +273,27 @@ class TestWindowContraction:
         ref = _tensordot_chain(inst, 4, c_max, quad)
         for name, value in ref.items():
             assert abs(getattr(exp, name) - value) <= 1e-12 * max(1.0, abs(value)), name
+
+
+class TestConvergence:
+    # at the default window and nodes no q sits at the node cap, and doubling
+    # the window moves the total by less than the identity's own 2% bound
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            _CONGRUENCE,
+            dict(coeffs=(1, 1, 1), L=2, lam=(1, 1, 1), center=(3**-0.5,) * 3),
+            dict(coeffs=(1, 1, 1), center=(3**-0.5,) * 3),
+        ],
+        ids=["congruence", "obstructed", "sphere"],
+    )
+    def test_window_doubling(self, kwargs):
+        inst = make_instance(**kwargs)
+        count = enumerate_gamma(inst).weighted
+        once = poisson_rhs(inst)
+        assert once.capped_q == ()
+        twice = poisson_rhs(inst, c_max=2 * once.c_max)
+        assert abs(twice.total - once.total) <= 0.02 * max(count, math.sqrt(inst.N))
 
 
 @pytest.fixture(scope="module")
