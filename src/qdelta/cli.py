@@ -163,10 +163,13 @@ def build_instance(cfg: dict[str, str]) -> ProblemInstance:
 
 
 def quad_from_config(cfg: dict[str, str]) -> QuadratureSpec:
+    # the expansion's trapezoid rule fixes its node density; the retired
+    # Gauss-Legendre density keys are refused rather than ignored
+    for key in ("quad_nodes_per_cycle", "quad_nodes_per_feature"):
+        if key in cfg:
+            raise ConfigError(f"config field {key}: no longer read; remove it")
     return QuadratureSpec(
         base_nodes=_get_int(cfg, "quad_base_nodes", 24),
-        nodes_per_cycle=_get_int(cfg, "quad_nodes_per_cycle", 7),
-        nodes_per_feature=_get_int(cfg, "quad_nodes_per_feature", 5),
         max_nodes=_get_int(cfg, "quad_max_nodes", 320),
     )
 
@@ -320,24 +323,27 @@ def cmd_compare(args, cfg) -> int:
         kwargs["q_max"] = _get_int(cfg, "q_max")
     if "c_max" in cfg:
         kwargs["c_max"] = _get_int(cfg, "c_max")
-    # the expansions' memory preflight, before any other work
-    for h in h_values:
-        if instance.with_h(h).N <= _IDENTITY_N_MAX:
-            expansion_plan(instance.with_h(h), quad=quad, **kwargs)
+    # identity check on every h small enough for the truncated expansion;
+    # each expansion's plan (and memory preflight) comes before any other work
+    plans = {
+        h: expansion_plan(instance.with_h(h), quad=quad, **kwargs)
+        for h in h_values
+        if instance.with_h(h).N <= _IDENTITY_N_MAX
+    }
     t0 = time.perf_counter()
     report = predict_main(instance, h_values=h_values, p_max=p_max, quad=quad)
     secondary = extract_secondary(report)
 
-    # identity check on every h small enough for the truncated expansion;
-    # the others are listed with the reason they were skipped
+    # the h without a plan are listed with the reason they were skipped
     identity, skipped = [], []
     ok = True
     for h, gamma in zip(h_values, report.gammas):
         inst_h = instance.with_h(h)
-        if inst_h.N > _IDENTITY_N_MAX:
+        if h not in plans:
             skipped.append({"h": h, "N": inst_h.N, "reason": f"N > {_IDENTITY_N_MAX}"})
             continue
-        expansion = poisson_rhs(inst_h, quad=quad, **kwargs)
+        kernel, q_max, c_max, _ = plans[h]
+        expansion = poisson_rhs(inst_h, q_max=q_max, c_max=c_max, quad=quad, kernel=kernel)
         scale = max(gamma, float(inst_h.sqrtN))
         err = abs(expansion.total - gamma)
         passed = err <= tolerance * scale

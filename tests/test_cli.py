@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from pathlib import Path
 
 import pytest
@@ -201,6 +200,15 @@ class TestSubcommands:
         assert rc == 2
         assert "c_list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["quad_nodes_per_cycle", "quad_nodes_per_feature"])
+    def test_exit_code_2_on_retired_quad_key(self, cfg_file, tmp_path, capsys, key):
+        p = tmp_path / "q.cfg"
+        p.write_text(cfg_file.read_text() + f"{key} = 7\n")
+        rc = main(["compare", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "compare.json").exists()
+
     @pytest.mark.parametrize(
         "command, extra, output",
         [
@@ -229,14 +237,17 @@ class TestSubcommands:
         assert rc == 3
         assert "resource bound" in capsys.readouterr().err
 
-    def test_exit_code_3_on_expansion_memory(self, cfg_file, tmp_path, capsys):
+    def test_exit_code_3_on_expansion_memory(self, cfg_file, tmp_path, capsys, monkeypatch):
         # at c_max = 400 the q = 1 grid asks for 4846 nodes per axis (about
         # 1 TiB); the preflight refuses it before the main-term work starts
         p = tmp_path / "huge.cfg"
         p.write_text(cfg_file.read_text() + "quad_max_nodes = 5000\nc_max = 400\n")
-        t0 = time.perf_counter()
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("main-term work ran before the memory preflight")
+
+        monkeypatch.setattr(cli, "predict_main", unreached)
         rc = main(["compare", "--config", str(p), "--out", str(tmp_path)])
-        assert time.perf_counter() - t0 < 1.0
         assert rc == 3
         err = capsys.readouterr().err
         assert "resource bound" in err and "4846 nodes per axis" in err
