@@ -57,12 +57,6 @@ def config_sha256(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _require(cfg: dict[str, str], field: str) -> str:
-    if field not in cfg:
-        raise ConfigError(f"missing config field: {field}")
-    return cfg[field]
-
-
 def _get_int(cfg, field, default=None):
     if field not in cfg:
         if default is None:

@@ -16,6 +16,10 @@ builds each row once and contracts it against every c's phases (memory
 O((qL)^2 + len(cs) qL)), and `_amplitude_table` for every c mod qL at once
 (one FFT).  All vectorized reductions run in a fixed order, the same for a c
 whatever list it comes in, so results are reproducible bit-for-bit.
+
+Every S_q(c) route is chosen here, by qL against GRID_MODULUS_BOUND:
+`sqc_values` for a list of c, and `sqc_window` for the Poisson assembly's
+dual window, a cube of c (a gather from `sqc_grid`, or sqc_value per c).
 """
 
 from __future__ import annotations
@@ -471,3 +475,15 @@ def sqc_values(instance: ProblemInstance, q: int, cs) -> list[complex]:
 def sqc_value(instance: ProblemInstance, q: int, c) -> complex:
     """S_q(c) at one c; see sqc_values."""
     return sqc_values(instance, q, [c])[0]
+
+
+def sqc_window(instance: ProblemInstance, q: int, cvals) -> np.ndarray:
+    """S_q(c) for every c in the cube cvals^3, as a new 3-D array indexed
+    like the cube: up to qL = GRID_MODULUS_BOUND a gather from the residue
+    table sqc_grid, beyond it sqc_value at each c in C order."""
+    qL = q * instance.L
+    if qL <= GRID_MODULUS_BOUND:
+        r = np.asarray(cvals) % qL
+        return sqc_grid(instance, q)[np.ix_(r, r, r)]
+    cube = (sqc_value(instance, q, (c1, c2, c3)) for c1 in cvals for c2 in cvals for c3 in cvals)
+    return np.fromiter(cube, np.complex128, len(cvals) ** 3).reshape((len(cvals),) * 3)

@@ -194,16 +194,6 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def order(self) -> int:
-        comps, _ = _unit_group(self.modulus)
-        result = 1
-        for e, (_, d) in zip(self.exponents, comps):
-            result = math.lcm(result, d // math.gcd(e, d))
-        return result
-
-    def is_real(self) -> bool:
-        return self.order() <= 2
-
     def __call__(self, x: int) -> complex:
         n = self.modulus
         if n == 1:

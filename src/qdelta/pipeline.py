@@ -12,20 +12,20 @@ The expansion evaluates, term by term over (q, c),
 
     (sqrt(N)/L) * S_q(c) * e_{qL^2}(c.lam_N) * I_{q/Q}(w; c/L) / (qL)^3,
 
-with S_q(c) from expsums (FFT grid for small qL, closed-form split beyond)
-and the oscillatory integral from arch on a per-q amplitude grid shared by
-all c.  The grid is the uniform trapezoid rule (arch._trapezoid_box, with
+on the dual window, the cube |c|_inf <= c_max held as one (2 c_max + 1)^3
+array, with S_q(c) from expsums.sqc_window (which picks the route by qL) and
+the oscillatory integral from arch on a per-q amplitude grid shared by all
+c: the uniform trapezoid rule (arch._trapezoid_box, with
 QuadratureSpec.trapezoid_nodes_for per q); node counts never rise with q, so
 one buffer sized at q = 1 holds every q's amplitude.  Before anything is
 allocated, a memory preflight rejects (ValueError) an expansion whose
-largest amplitude, contraction intermediate and flat window exceed
+largest amplitude, contraction intermediate and window exceed
 _MEMORY_BUDGET.  Per q the window of e_{qL^2}(c.lam_N) I(c) is one separable
 contraction of the real amplitude with three axis-factor matrices (a real
 GEMM, then two complex matmuls) over the half window c1 >= 0; the other
-half is its complex conjugate.  Every c is tagged exceptional/ordinary and
-the three partial sums are accumulated separately; their sum is the grand
-total by construction.  The node count of each q, and the q held at the
-quadrature cap, are reported with the sums.
+half is its complex conjugate.  Two masks split the cube into exceptional
+and ordinary c, c = 0 is its centre; the three partial sums add up to the
+total by construction.  Nodes per q and the capped q are reported too.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .arch import (
     form_range,
     singular_integral,
 )
-from .expsums import GRID_MODULUS_BOUND, sqc_grid, sqc_value
+from .expsums import sqc_window
 from .localdens import L_one_psi0, SingularSeries, singular_series
 from .qform import ProblemInstance, _classify_array
 
@@ -90,7 +90,6 @@ class DeltaExpansion:
     ordinary_part: complex
     shell_mass: float  # |c|_inf = c_max shell contribution (truncation proxy)
     tail_budget: float
-    budget_ok: bool
     n_terms: int
     nodes: tuple[int, ...]  # quadrature nodes per axis at q = 1..q_max
     capped_q: tuple[int, ...]  # the q whose node count sits at quad.max_nodes
@@ -274,10 +273,11 @@ def default_c_max(instance: ProblemInstance) -> int:
 
 # bytes poisson_rhs may hold at once; over it, expansion_plan raises
 _MEMORY_BUDGET = 2 << 30
-# flat-window bytes per dual frequency c in poisson_rhs, an upper bound: its
-# coordinates, masks, S_q(c), contraction, mirror and terms peaked at about
-# 101 bytes per c on the congruence instance (traced allocations)
-_WINDOW_BYTES = 128
+_TAIL_BUDGET_FRAC = 0.01  # reported shell-mass budget, per unit of sqrt(N)
+# window bytes per dual frequency c in poisson_rhs, an upper bound: masks,
+# S_q(c), contraction and terms peaked at 41 (congruence, c_max = 37) and 32
+# (cross form, c_max = 100) bytes per c, traced at 128 nodes; 16% margin
+_WINDOW_BYTES = 48
 
 
 def expansion_plan(
@@ -324,7 +324,6 @@ def poisson_rhs(
     c_max: int | None = None,
     quad: QuadratureSpec = QuadratureSpec(),
     kernel: DeltaKernel | None = None,
-    tail_budget_frac: float = 0.01,
 ) -> DeltaExpansion:
     """Truncated delta expansion matching enumerate_gamma."""
     kernel, q_max, c_max, nodes_per_q = expansion_plan(instance, q_max, c_max, quad, kernel)
@@ -336,14 +335,13 @@ def poisson_rhs(
     prefac = yscale * instance.sqrtN / L
     cvals = np.arange(-c_max, c_max + 1, dtype=np.int64)
 
-    # flat dual window and its exceptional/ordinary classification
-    C1, C2, C3 = (g.ravel() for g in np.meshgrid(cvals, cvals, cvals, indexing="ij"))
-    type_i, type_ii = _classify_array(instance, C1, C2, C3)
-    nonzero = (C1 != 0) | (C2 != 0) | (C3 != 0)
-    exc_mask = nonzero & (type_i | type_ii)
-    ord_mask = nonzero & ~exc_mask
-    zero_mask = ~nonzero
-    shell_mask = np.maximum(np.abs(C1), np.maximum(np.abs(C2), np.abs(C3))) == c_max
+    # the window cube, classified once; its centre c = 0 is type II, so only
+    # the exceptional mask needs it cleared.  The shell is the cube's surface
+    exc_mask = np.logical_or(*_classify_array(instance, *np.ix_(cvals, cvals, cvals)))
+    ord_mask = ~exc_mask
+    exc_mask[c_max, c_max, c_max] = False
+    shell_mask = np.ones_like(exc_mask)
+    shell_mask[1:-1, 1:-1, 1:-1] = False
 
     zero = 0j
     exceptional = 0j
@@ -363,11 +361,6 @@ def poisson_rhs(
             continue
         qL = q * L
         qL2 = q * L * L
-        qL3 = qL**3
-        if qL <= GRID_MODULUS_BOUND:
-            S = sqc_grid(instance, q)[C1 % qL, C2 % qL, C3 % qL]
-        else:
-            S = np.array([sqc_value(instance, q, c) for c in zip(C1, C2, C3)])
         # U(c) = e_{qL^2}(c.lam) I(c) over the window in one GEMM chain, the
         # lam-phase folded into the rows of the axis factors:
         # P[i][a, j] = w_j exp(-2 pi i (c_a / L) t_j / r) e_{qL^2}(c_a lam_i).
@@ -379,8 +372,13 @@ def poisson_rhs(
             P[i] *= np.exp(2j * np.pi * ((freqs[i] * lam[i]) % qL2) / qL2)[:, None]
         U = _contract_axes(amp, *P)
         U = np.concatenate([np.conj(U[:0:-1, ::-1, ::-1]), U])
-        terms = prefac * S * U.ravel() / qL3
-        zero += complex(terms[zero_mask].sum())
+        # prefac S_q(c) U(c) / (qL)^3 in place; U goes before the masked sums copy
+        terms = sqc_window(instance, q, cvals)
+        terms *= prefac
+        terms *= U
+        terms /= qL**3
+        del U
+        zero += complex(terms[c_max, c_max, c_max])
         exceptional += complex(terms[exc_mask].sum())
         ordinary += complex(terms[ord_mask].sum())
         shell += float(np.abs(terms[shell_mask]).sum())
@@ -388,8 +386,7 @@ def poisson_rhs(
         # release this q's window-sized arrays before the next q builds its
         # own: the loop's peak memory is then one q's arrays, not the
         # previous q's held alongside the next q's contraction
-        del axes, wts, amp, S, P, U, terms
-    budget = tail_budget_frac * instance.sqrtN
+        del axes, wts, amp, P, terms
     return DeltaExpansion(
         Q=Q,
         q_max=q_max,
@@ -398,8 +395,7 @@ def poisson_rhs(
         exceptional_part=complex(exceptional),
         ordinary_part=complex(ordinary),
         shell_mass=shell,
-        tail_budget=budget,
-        budget_ok=shell <= budget,
+        tail_budget=_TAIL_BUDGET_FRAC * instance.sqrtN,
         n_terms=n_terms,
         nodes=tuple(nodes_per_q),
         capped_q=tuple(q for q, n in enumerate(nodes_per_q, 1) if n >= quad.max_nodes),

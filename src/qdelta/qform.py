@@ -256,10 +256,15 @@ def _classify_array(instance: ProblemInstance, c1, c2, c3):
     """Masks (type_i, type_ii) of the exceptional Poisson variables among
     integer arrays c1, c2, c3 (broadcast against each other): type II is
     F*(c) = 0 (the zero vector included), type I is m0 * det * F*(c) a
-    nonzero square.  Fixed-width int64 arithmetic; below 2^62 the rounded
-    float square root is the exact one."""
-    fstar = form_values(instance.form.dual(), c1, c2, c3)
-    prod = instance.m0 * instance.form.det() * fstar
+    nonzero square.  Fixed-width int64 arithmetic, refused (OverflowError)
+    unless |m0 det| * sum|F* coefficients| * max|c|^2 < 2^62: then no step
+    wraps and the rounded float square root is the exact one."""
+    dual, scale = instance.form.dual(), instance.m0 * instance.form.det()
+    cmax = max(int(np.max(np.abs(c), initial=0)) for c in (c1, c2, c3))
+    if abs(scale) * sum(map(abs, dual.coefficients())) * cmax**2 >= 1 << 62:
+        raise OverflowError("m0 * det * F*(c) exceeds the int64 classifier's range")
+    fstar = form_values(dual, c1, c2, c3)
+    prod = scale * fstar
     root = np.floor(np.sqrt(np.maximum(prod, 0).astype(np.float64)) + 0.5).astype(np.int64)
     return (prod > 0) & (root * root == prod), fstar == 0
 
@@ -269,9 +274,6 @@ def classify_c(instance: ProblemInstance, c) -> CClass:
     c = tuple(int(v) for v in c)
     if c == (0, 0, 0):
         raise ValueError("c must be nonzero")
-    size = abs(instance.m0 * instance.form.det()) * sum(map(abs, instance.form.dual().coefficients()))
-    if size * max(map(abs, c)) ** 2 >= 1 << 62:
-        raise OverflowError("m0 * det * F*(c) exceeds the int64 classifier's range")
     type_i, type_ii = _classify_array(instance, *np.array(c, dtype=np.int64))
     if type_ii:
         return CClass.EXCEPTIONAL_TYPE_II

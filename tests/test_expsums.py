@@ -30,6 +30,7 @@ from qdelta.expsums import (
     sqc_grid,
     sqc_value,
     sqc_values,
+    sqc_window,
 )
 from qdelta.modarith import characters_mod, smooth_part
 
@@ -128,6 +129,41 @@ class TestClosedFormRoute:
         for c in ((0, 0, 0), (1, -2, 3), (4, 1, -1)):
             want = brute_S(inst, q, c).value
             assert abs(sqc_value(inst, q, c) - want) <= 1e-9 * max(1.0, abs(want)), c
+
+
+class TestWindow:
+    """sqc_window on the cube arange(-3, 4)^3 against S_q(c) per c.  Beyond
+    the grid bound it is sqc_value itself, so `==`.  Up to the bound it is a
+    gather from the FFT table: `==` to that table entry by entry, and within
+    rounding of the definition-level sum (FFT against direct summation)."""
+
+    @pytest.mark.parametrize(
+        "h, L, lam, q",
+        [
+            (1, 1, (0, 0, 0), 1),      # qL = 1: the window wraps the table
+            (1, 2, (1, 0, 0), 1),      # qL = 2
+            (2, 1, (0, 0, 0), 200),    # qL = GRID_MODULUS_BOUND
+            (1, 2, (1, 0, 0), 100),    # qL = 200
+            (2, 1, (0, 0, 0), 201),    # N = 625, qL = 201
+            (1, 2, (1, 0, 0), 101),    # L = 2, qL = 202
+        ],
+    )
+    def test_matches_per_c(self, h, L, lam, q):
+        inst = make_instance(h=h, L=L, lam=lam)
+        cvals = np.arange(-3, 4)
+        cube = list(itertools.product(cvals.tolist(), repeat=3))
+        got = sqc_window(inst, q, cvals)
+        assert got.shape == (7, 7, 7)
+        want = np.array(sqc_values(inst, q, cube)).reshape(got.shape)
+        qL = q * L
+        if qL > GRID_MODULUS_BOUND:
+            assert np.array_equal(got, want)
+            assert got[1, 5, 6] == sqc_value(inst, q, (-2, 2, 3))
+            return
+        table = sqc_grid(inst, q)
+        gathered = np.array([table[tuple(v % qL for v in c)] for c in cube])
+        assert np.array_equal(got, gathered.reshape(got.shape))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
 def _amplitude_sum(form, q: int, L: int, scale: int, lam, target: int, c) -> ComplexSum:

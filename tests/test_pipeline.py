@@ -204,6 +204,13 @@ class TestExpansionBookkeeping:
         assert default_c_max(hyp_instance) == math.ceil(5.0 * g)
         assert default_c_max(cong_instance) == math.ceil(5.0 * 2 * g)
 
+    def test_window_classifier_overflow(self):
+        # m0 det F*(30, 30, 30) = 2.7e19 > 2^63: an int64 window classifier
+        # would wrap (1392 of the 61^3 c misclassified) instead of refusing
+        inst = make_instance(coeffs=(1000, 1000, 1000), m0=10, p0=7)
+        with pytest.raises(OverflowError, match="int64 classifier"):
+            poisson_rhs(inst, q_max=1, c_max=30)
+
     def test_node_cap_reported(self, cong_instance):
         exp = poisson_rhs(cong_instance, q_max=4, quad=QuadratureSpec(max_nodes=48))
         assert len(exp.nodes) == 4

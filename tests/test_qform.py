@@ -172,3 +172,18 @@ class TestClassifyC:
     def test_classify_rejects_int64_overflow(self):
         with pytest.raises(OverflowError):
             classify_c(make_instance(), (3 * 10**9, 0, 1))
+
+    def test_array_classifier_int64_bound(self):
+        # |m0 det| * sum|F* coefficients| = 10 * 10^9 * 3 * 10^6: the int64
+        # bound 2^62 admits max|c| = 12 and refuses 13, on the scalar and
+        # the array classifier alike
+        inst = make_instance(coeffs=(1000, 1000, 1000), m0=10, p0=7)
+        size = 10 * 10**9 * 3 * 10**6
+        assert 12**2 * size < 1 << 62 <= 13**2 * size
+        _classify_array(inst, np.arange(-12, 13)[:, None], np.arange(-12, 13), 0)
+        classify_c(inst, (12, -12, 12))
+        for c in ((13, 0, 0), (0, -13, 0), (1, 2, 13)):
+            with pytest.raises(OverflowError):
+                _classify_array(inst, *np.array(c)[:, None])
+            with pytest.raises(OverflowError):
+                classify_c(inst, c)
