@@ -3,12 +3,13 @@
 The arithmetic main-term factor is an Euler product of p-adic densities: the
 stabilized ratio (solutions of F = m0 mod p^k, under the congruence
 condition) / p^{2k}.  For primes away from 2*det(F)*m0*L the density
-stabilizes already at k = 1; the finitely many remaining primes need a
-certified Hensel ladder.  Conditional convergence of the product is handled
-with the convergence factors (1 - psi0(p)/p) attached to the real character
-psi0 of the form; when psi0 is non-principal the compensating value L(1,
-psi0) is computed from the character directly and is checked here against
-two classical closed forms.
+stabilizes already at k = 1, where Gauss's closed count p^2 + p (-m0 det / p)
+gives it without enumerating residues (method gauss-character); the finitely
+many remaining primes need a certified Hensel ladder.  Conditional
+convergence of the product is handled with the convergence factors
+(1 - psi0(p)/p) attached to the real character psi0 of the form; when psi0
+is non-principal the compensating value L(1, psi0) is computed from the
+character directly and is checked here against two classical closed forms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ sphere = ProblemInstance(
 print("== densities at individual primes (sphere, target 25) ==")
 for p in (2, 3, 7, 11):
     d = sigma_p(sphere, p)
-    print(f"p={p:2d}:  sigma_p = {d.value}  (stabilized at k = {d.k_star})")
+    print(f"p={p:2d}:  sigma_p = {d.value}  (stabilized at k = {d.k_star}, method {d.method})")
 
 print()
 print("== stabilization is exact for clean primes ==")

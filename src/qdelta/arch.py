@@ -442,13 +442,25 @@ class SingularIntegral:
         return abs(self.value - self.coarea_value) <= tol
 
 
-def _mollified(instance: ProblemInstance, eps: float, nodes: int) -> float:
-    """int w(t) phi_eps(F(t) - m0) dt with a Gaussian phi_eps."""
+def _mollifier_grid(instance: ProblemInstance, nodes: int):
+    """(w, F - m0, Gauss-Legendre weights) on the nodes^3 support box: all
+    of the mollified integral that does not depend on eps."""
     axes, wts = _gl_box(instance.weight, (nodes, nodes, nodes))
     grid = np.ix_(*axes)
-    amp = instance.weight.values(*grid)
-    y = form_values(instance.form, *grid) - instance.m0
-    amp = amp * np.exp(-0.5 * (y / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
+    return instance.weight.values(*grid), form_values(instance.form, *grid) - instance.m0, wts
+
+
+def _mollified(grid, eps: float) -> float:
+    """int w(t) phi_eps(F(t) - m0) dt with a Gaussian phi_eps, on a
+    _mollifier_grid."""
+    w, y, wts = grid
+    # w exp(-(y/eps)^2 / 2) / (eps sqrt(2 pi)) in one n^3 array, in place
+    amp = y / eps
+    np.square(amp, out=amp)
+    amp *= -0.5
+    np.exp(amp, out=amp)
+    amp *= w
+    amp /= eps * math.sqrt(2.0 * math.pi)
     return float(np.einsum("ijk,i,j,k->", amp, wts[0], wts[1], wts[2]))
 
 
@@ -491,10 +503,18 @@ def singular_integral(
     scale = max(1.0, abs(float(instance.m0)))
     eps = eps0 * scale
     vals = []
+    # the node count never falls as eps halves: each count's grid is built
+    # once, and the last one is dropped before the next is built
+    grid_nodes = grid = None
     for k in range(3):
         e = eps / 2**k
         nodes = min(quad.max_nodes, max(48, int(24 * scale / e)))
-        vals.append(_mollified(instance, e, nodes))
+        if nodes != grid_nodes:
+            grid = None
+            grid = _mollifier_grid(instance, nodes)
+            grid_nodes = nodes
+        vals.append(_mollified(grid, e))
+    del grid
     # I(eps) = I0 + c eps^2 + ..., so Richardson in eps^2
     r1 = (4.0 * vals[1] - vals[0]) / 3.0
     r2 = (4.0 * vals[2] - vals[1]) / 3.0

@@ -257,13 +257,15 @@ def cmd_density(args, cfg) -> int:
     series = singular_series(instance, p_max)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["p", "k_star", "count", "density_num", "density_den", "euler_factor"])
+        writer.writerow(
+            ["p", "k_star", "count", "density_num", "density_den", "euler_factor", "method"]
+        )
         for dens, (p, euler) in zip(series.densities, series.factors):
             if p > p_max:
                 continue  # the cone factor at p0 enters the series even beyond p_max
             writer.writerow(
                 [p, dens.k_star, dens.count,
-                 dens.value.numerator, dens.value.denominator, repr(euler)]
+                 dens.value.numerator, dens.value.denominator, repr(euler), dens.method]
             )
     print(f"config {config_sha256(cfg)}")
     print(f"singular series (p <= {p_max}): {series.value!r} drift {series.drift!r}")

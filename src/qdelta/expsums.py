@@ -41,6 +41,9 @@ _CALA_BOUND = 3000
 # Largest qL whose S_q(c) comes from a (qL)^3 residue table (sqc_grid) or the
 # definition (brute_S); beyond it, sqc_values takes the CRT split.
 GRID_MODULUS_BOUND = 200
+# bytes per residue sqc_grid holds at its peak: the real (qL)^3 amplitude,
+# its complex FFT and the conjugate (40.0 traced at qL = 100 and 200)
+_TABLE_BYTES = 8 + 16 + 16
 
 
 @dataclass(frozen=True)
@@ -475,6 +478,15 @@ def sqc_values(instance: ProblemInstance, q: int, cs) -> list[complex]:
 def sqc_value(instance: ProblemInstance, q: int, c) -> complex:
     """S_q(c) at one c; see sqc_values."""
     return sqc_values(instance, q, [c])[0]
+
+
+def sqc_table_peak(instance: ProblemInstance, q_max: int) -> tuple[int, int]:
+    """(qL, bytes) of the largest residue table sqc_window builds for
+    q = 1..q_max: the largest qL <= GRID_MODULUS_BOUND and sqc_grid's peak
+    allocation there; (0, 0) when every q is beyond the table route."""
+    L = instance.L
+    qL = L * min(q_max, GRID_MODULUS_BOUND // L)
+    return qL, _TABLE_BYTES * qL**3
 
 
 def sqc_window(instance: ProblemInstance, q: int, cvals) -> np.ndarray:

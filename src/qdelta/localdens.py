@@ -3,9 +3,11 @@
 Densities are exact rationals: counts of solutions of F = m0 mod p^k under
 the congruence condition, divided by p^(2k).  Stabilization is certified
 rather than assumed: at primes not dividing 2*det*m0*L every mod-p solution
-is nonsingular, so level 1 is already exact; at the remaining primes the
-ladder climbs until two consecutive levels agree, the level clears the
-ramification threshold, and every surviving solution is Hensel-liftable.
+is nonsingular, so level 1 is already exact, and its count is Gauss's closed
+form p^2 + p (-m0 det / p) with no residues enumerated; at the remaining
+primes the ladder climbs, counting residues with count_solutions, until two
+consecutive levels agree, the level clears the ramification threshold, and
+every surviving solution is Hensel-liftable.
 
 The cone density at p0 uses the homogeneous structure: the count splits into
 primitive solutions (whose density stabilizes) plus p^3 times the count two
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
-from .modarith import factorize, is_square, jacobi, primes_up_to
+from .modarith import factorize, is_prime, is_square, jacobi, primes_up_to
 from .qform import ProblemInstance, QForm, psi0
 
 _BOX_BOUND = 10**4  # largest p^k enumerated directly
@@ -88,7 +89,6 @@ def _count_sheets(form: QForm, target: int, p: int, k: int) -> int:
         raise ValueError("no unit diagonal coefficient; use direct counting")
     # permute so the unit-diagonal variable is x3
     perm = {0: (1, 2, 0), 1: (0, 2, 1), 2: (0, 1, 2)}[axis]
-    a11, a22, a33, a12, a13, a23 = coeffs
     mat = form.gram()
     m = [[mat[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
     b11, b22, b33 = m[0][0], m[1][1], m[2][2]
@@ -181,7 +181,7 @@ def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
     """Local density of F = m0 under x = lambda mod p^(ord_p L), at p != p0."""
     if p == instance.p0:
         raise ValueError("use sigma_p0_cone at the distinguished prime")
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     ell = 0
     L = instance.L
@@ -189,9 +189,11 @@ def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
         L //= p
         ell += 1
     if _is_clean(instance, p):
-        n1 = count_solutions(instance.form, instance.m0, p, 1)
-        # mod-p solutions are nonsingular (a singular one would force x = 0
-        # and m0 = 0 mod p), so level 1 is exact by Hensel lifting
+        # Gauss's count for a nondegenerate ternary form at odd p prime to
+        # m0 det: #{x mod p : x^T M x = m0} = p^2 + p (-m0 det / p).  The
+        # solutions are nonsingular (a singular one would force x = 0 and
+        # m0 = 0 mod p), so level 1 is exact by Hensel lifting
+        n1 = p * p + p * jacobi((-instance.m0 * instance.form.det()) % p, p)
         return LocalDensity(
             p=p,
             k_star=1,
@@ -199,7 +201,7 @@ def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
             count=n1,
             counts=((1, n1),),
             certified=True,
-            method="sheet-hensel",
+            method="gauss-character",
         )
     threshold = 1
     tmp = 2 * instance.form.det() * instance.L

@@ -19,11 +19,11 @@ c: the uniform trapezoid rule (arch._trapezoid_box, with
 QuadratureSpec.trapezoid_nodes_for per q); node counts never rise with q, so
 one buffer sized at q = 1 holds every q's amplitude.  Before anything is
 allocated, a memory preflight rejects (ValueError) an expansion whose
-largest amplitude, contraction intermediate and window exceed
-_MEMORY_BUDGET.  Per q the window of e_{qL^2}(c.lam_N) I(c) is one separable
-contraction of the real amplitude with three axis-factor matrices (a real
-GEMM, then two complex matmuls) over the half window c1 >= 0; the other
-half is its complex conjugate.  Two masks split the cube into exceptional
+largest amplitude, contraction intermediate, window and S_q(c) residue
+table exceed _MEMORY_BUDGET.  Per q the window of e_{qL^2}(c.lam_N) I(c) is
+one separable contraction of the real amplitude with three axis-factor
+matrices (a real GEMM, then two complex matmuls) over the half window
+c1 >= 0; the other half is its complex conjugate.  Two masks split the cube into exceptional
 and ordinary c, c = 0 is its centre; the three partial sums add up to the
 total by construction.  Nodes per q and the capped q are reported too.
 """
@@ -46,7 +46,7 @@ from .arch import (
     form_range,
     singular_integral,
 )
-from .expsums import sqc_window
+from .expsums import sqc_table_peak, sqc_window
 from .localdens import L_one_psi0, SingularSeries, singular_series
 from .qform import ProblemInstance, _classify_array
 
@@ -292,8 +292,9 @@ def expansion_plan(
 
     The preflight counts, in float64 values, the largest amplitude grid
     (n^3) and the contraction intermediate (2 (c_max + 1) n^2), plus
-    _WINDOW_BYTES per point of the (2 c_max + 1)^3 window, and raises
-    ValueError above _MEMORY_BUDGET: nothing is clamped to fit."""
+    _WINDOW_BYTES per point of the (2 c_max + 1)^3 window and the largest
+    S_q(c) residue table (expsums.sqc_table_peak), and raises ValueError
+    above _MEMORY_BUDGET: nothing is clamped to fit."""
     if kernel is None:
         kernel = default_kernel(instance)
     if q_max is None:
@@ -309,11 +310,17 @@ def expansion_plan(
         cycles = 2.0 * instance.weight.radius * c_max / (instance.L * rp)
         nodes.append(quad.trapezoid_nodes_for(cycles, 2.0 * yscale * fr / rk))
     n = max(nodes, default=0)
-    need = 8 * (n**3 + 2 * (c_max + 1) * n * n) + _WINDOW_BYTES * (2 * c_max + 1) ** 3
+    table_qL, table_bytes = sqc_table_peak(instance, q_max)
+    need = (
+        8 * (n**3 + 2 * (c_max + 1) * n * n)
+        + _WINDOW_BYTES * (2 * c_max + 1) ** 3
+        + table_bytes
+    )
     if need > _MEMORY_BUDGET:
         raise ValueError(
             f"delta expansion needs about {need / 2**30:.3g} GiB ({n} nodes per axis, "
-            f"c_max = {c_max}), over the {_MEMORY_BUDGET / 2**30:.3g} GiB budget"
+            f"c_max = {c_max}, S_q(c) residue table at qL = {table_qL}), "
+            f"over the {_MEMORY_BUDGET / 2**30:.3g} GiB budget"
         )
     return kernel, q_max, c_max, nodes
 

@@ -19,6 +19,7 @@ from qdelta.arch import (
     _contract_axes,
     _gl_box,
     _mollified,
+    _mollifier_grid,
     _trapezoid_box,
     coarea_integral,
     delta_symbol,
@@ -161,6 +162,29 @@ class TestSingularIntegral:
         si = singular_integral(inst)
         assert abs(si.value) < 1e-10
 
+    def test_one_grid_per_node_count(self, monkeypatch):
+        # at cap 128 eps = 0.2, 0.1, 0.05 take 120, 128 and 128 nodes; the
+        # shared 128-node grid and the in-place Gaussian give the bits of
+        # one grid per eps and the plain expression
+        inst = make_instance()
+        real = arch._mollifier_grid
+        built = []
+
+        def counting(instance, nodes):
+            built.append(nodes)
+            return real(instance, nodes)
+
+        monkeypatch.setattr(arch, "_mollifier_grid", counting)
+        si = singular_integral(inst, QuadratureSpec(max_nodes=128))
+        assert built == [120, 128]
+        v = []
+        for e, n in ((0.2, 120), (0.1, 128), (0.05, 128)):
+            w, y, wts = real(inst, n)
+            amp = w * np.exp(-0.5 * (y / e) ** 2) / (e * math.sqrt(2.0 * math.pi))
+            v.append(float(np.einsum("ijk,i,j,k->", amp, *wts)))
+        r1, r2 = (4.0 * v[1] - v[0]) / 3.0, (4.0 * v[2] - v[1]) / 3.0
+        assert (si.value, si.error) == (r2, abs(r2 - r1))
+
     def test_form_range_covers_samples(self):
         inst = make_instance()
         fr = form_range(inst)
@@ -272,7 +296,7 @@ class TestGridLayer:
             gauss = math.exp(-0.5 * (y / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
             total += wts[0][i] * wts[1][j] * wts[2][k] * _weight_ref(inst.weight, t) * gauss
         assert total > 0
-        assert abs(_mollified(inst, eps, n) - total) <= 1e-12 * total
+        assert abs(_mollified(_mollifier_grid(inst, n), eps) - total) <= 1e-12 * total
 
 
 class TestQuadratureSpec:

@@ -144,11 +144,25 @@ class TestSubcommands:
         assert main(["density", "--config", str(p), "--out", str(tmp_path)]) == 0
         with (tmp_path / "density.csv").open() as fh:
             rows = list(csv.DictReader(fh))
-        assert set(rows[0]) == {"p", "k_star", "count", "density_num", "density_den", "euler_factor"}
+        assert list(rows[0]) == ["p", "k_star", "count", "density_num", "density_den",
+                                 "euler_factor", "method"]
         assert [int(r["p"]) for r in rows] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
                                                41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
         for r in rows:
             assert int(r["density_den"]) > 0
+
+    def test_density_method_column(self, cfg_file, tmp_path):
+        # hyperboloid, det = -1, m0 = 1, L = 1: p = 2 climbs the ladder, p0 = 5
+        # takes the cone recurrence, every other prime is clean
+        p = tmp_path / "d.cfg"
+        p.write_text(cfg_file.read_text() + "p_max_density = 30\n")
+        assert main(["density", "--config", str(p), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "density.csv").open() as fh:
+            methods = {int(r["p"]): r["method"] for r in csv.DictReader(fh)}
+        series = localdens.singular_series(build_instance(parse_config(str(p))), 30)
+        assert methods == {d.p: d.method for d in series.densities}
+        assert methods == {2: "ladder", 5: "cone-recurrence",
+                           **{q: "gauss-character" for q in primes_up_to(30) if q not in (2, 5)}}
 
     def test_density_computes_each_sigma_p_once(self, cfg_file, tmp_path, monkeypatch):
         calls = []

@@ -28,6 +28,7 @@ from qdelta.expsums import (
     crt_split,
     lemma21_eval,
     sqc_grid,
+    sqc_table_peak,
     sqc_value,
     sqc_values,
     sqc_window,
@@ -164,6 +165,20 @@ class TestWindow:
         gathered = np.array([table[tuple(v % qL for v in c)] for c in cube])
         assert np.array_equal(got, gathered.reshape(got.shape))
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "L, lam, q_max, qL",
+        [
+            (1, (0, 0, 0), 12, 12),
+            (1, (0, 0, 0), 203, 200),
+            (2, (1, 0, 0), 99, 198),
+            (2, (1, 0, 0), 150, 200),
+        ],
+    )
+    def test_table_peak(self, L, lam, q_max, qL):
+        # the largest qL <= GRID_MODULUS_BOUND among q = 1..q_max, at 40
+        # bytes per residue (sqc_grid's traced peak)
+        assert sqc_table_peak(make_instance(L=L, lam=lam), q_max) == (qL, 40 * qL**3)
 
 
 def _amplitude_sum(form, q: int, L: int, scale: int, lam, target: int, c) -> ComplexSum:

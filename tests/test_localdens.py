@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from qdelta import localdens
 from qdelta.localdens import (
     L_one_psi0,
+    LocalDensity,
+    _is_clean,
     count_solutions,
     sigma_p,
     sigma_p0_cone,
     singular_series,
     upsilon,
 )
+from qdelta.modarith import primes_up_to
 from qdelta.qform import QForm
 
-from conftest import make_instance
+from conftest import HYP_CENTER, make_instance
+
+SPHERE_CENTER = (1 / 3**0.5,) * 3
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +95,82 @@ class TestSigmaP:
     def test_densities_positive_for_solvable(self, hyp3):
         for p in (5, 7, 11, 13):
             assert sigma_p(hyp3, p).value > 0
+
+
+# (coefficients a11, a22, a33, a12, a13, a23; m0) for the closed-form oracles
+CLOSED_FORM_CASES = [
+    ((1, 2, 3, 2, 0, 0), 5),
+    ((2, 3, 1, 2, 0, 2), 3),
+    ((3, 5, -7, 2, 4, -6), -2),
+    ((1, 1, 1, 0, 0, 0), -1),
+    ((1, 1, -1, 0, 0, 0), 1),
+]
+
+
+def _clean_primes(instance, bound):
+    return [p for p in primes_up_to(bound) if p != instance.p0 and _is_clean(instance, p)]
+
+
+def _enumerated_clean(instance, p):
+    """The clean branch with its level-1 count enumerated by
+    count_solutions: the oracle for the closed count."""
+    n1 = count_solutions(instance.form, instance.m0, p, 1)
+    return LocalDensity(p=p, k_star=1, value=Fraction(n1, p**2), count=n1,
+                        counts=((1, n1),), certified=True, method="enumerated")
+
+
+class TestGaussCount:
+    """The clean branch's closed count against residue enumeration."""
+
+    @pytest.mark.parametrize("coeffs,m0", CLOSED_FORM_CASES)
+    def test_matches_count_solutions(self, coeffs, m0):
+        inst = make_instance(coeffs=coeffs, m0=m0)
+        primes = _clean_primes(inst, 200)
+        assert len(primes) >= 40
+        for p in primes:
+            d = sigma_p(inst, p)
+            assert d.method == "gauss-character"
+            assert d == dataclasses.replace(_enumerated_clean(inst, p), method=d.method), p
+
+    @pytest.mark.parametrize("coeffs,m0", CLOSED_FORM_CASES)
+    def test_matches_triple_loop(self, coeffs, m0):
+        inst = make_instance(coeffs=coeffs, m0=m0)
+        for p in _clean_primes(inst, 13):
+            brute = sum(
+                1 for x in itertools.product(range(p), repeat=3)
+                if (inst.form(x) - m0) % p == 0
+            )
+            assert sigma_p(inst, p).count == brute, p
+
+    def test_clean_branch_enumerates_nothing(self, monkeypatch):
+        inst = make_instance(coeffs=(3, 5, -7, 2, 4, -6), m0=-2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("clean primes must not enumerate residues")
+
+        monkeypatch.setattr(localdens, "count_solutions", refuse)
+        for p in _clean_primes(inst, 500):
+            sigma_p(inst, p)
+
+    @pytest.mark.parametrize("coeffs,p0,center,p_max", [
+        ((1, 1, -1), 3, HYP_CENTER, 300),
+        ((1, 1, 1), 7, SPHERE_CENTER, 500),
+    ])
+    def test_series_unchanged(self, monkeypatch, coeffs, p0, center, p_max):
+        inst = make_instance(coeffs=coeffs, p0=p0, center=center)
+        new = singular_series(inst, p_max)
+        real = localdens.sigma_p
+
+        def enumerated(instance, p):
+            return _enumerated_clean(instance, p) if _is_clean(instance, p) else real(instance, p)
+
+        monkeypatch.setattr(localdens, "sigma_p", enumerated)
+        old = singular_series(inst, p_max)
+        assert (new.value, new.drift, new.factors) == (old.value, old.drift, old.factors)
+        assert new.obstructed_at == old.obstructed_at
+        for a, b in zip(new.densities, old.densities, strict=True):
+            assert a == dataclasses.replace(b, method=a.method)
+            assert a.method == ("gauss-character" if b.method == "enumerated" else b.method)
 
 
 class TestSingularSeries:

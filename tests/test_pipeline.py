@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qdelta.arch import (
     _trapezoid_box,
     form_range,
 )
-from qdelta.expsums import sqc_grid
+from qdelta.expsums import sqc_grid, sqc_table_peak
 from qdelta.pipeline import (
     PredictionReport,
     _isqrt_floor,
@@ -210,6 +211,26 @@ class TestExpansionBookkeeping:
         inst = make_instance(coeffs=(1000, 1000, 1000), m0=10, p0=7)
         with pytest.raises(OverflowError, match="int64 classifier"):
             poisson_rhs(inst, q_max=1, c_max=30)
+
+    def test_preflight_counts_residue_table(self, monkeypatch):
+        # hyperboloid h = 3 up to q = 203 at c_max = 1, 24 nodes: amplitude,
+        # contraction and window take under 1 MiB, while the q = 200 residue
+        # table peaks at 40 * 200^3 bytes = 320 MB.  A 128 MiB budget passes
+        # the former alone and must refuse the sum before any allocation
+        inst = make_instance(h=3)
+        quad = QuadratureSpec(max_nodes=24)
+        n = max(pipeline.expansion_plan(inst, q_max=203, c_max=1, quad=quad)[3])
+        assert 8 * (n**3 + 4 * n * n) + pipeline._WINDOW_BYTES * 27 < 2**20
+        assert sqc_table_peak(inst, 203) == (200, 40 * 200**3)
+        monkeypatch.setattr(pipeline, "_MEMORY_BUDGET", 2**27)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="residue table at qL = 200"):
+                poisson_rhs(inst, q_max=203, c_max=1, quad=quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_node_cap_reported(self, cong_instance):
         exp = poisson_rhs(cong_instance, q_max=4, quad=QuadratureSpec(max_nodes=48))
