@@ -8,7 +8,9 @@ oracle of the expansion's integrals) and the singular integral, and the
 uniform trapezoid rule for the expansion side (pipeline.poisson_rhs).  Its
 amplitude vanishes with all its derivatives on the box edge, so the trapezoid
 rule converges spectrally with about 2 nodes per phase cycle.  The kernel
-amplitude is built in slabs of at most _SLAB_POINTS grid points.
+amplitude is built in slabs of at most _SLAB_POINTS grid points.  The
+Gauss-Legendre reference rule on [-1, 1] is computed once per node count and
+cached in-process; each grid maps it onto its own interval.
 
 The kernel h(x, y) = sum_{j>=1} (xj)^{-1} [omega(xj) - omega(|y|/(xj))] is
 built from a bump omega supported on [1/2, 1].  Two exact facts drive the
@@ -39,7 +41,7 @@ import numpy as np
 from scipy import integrate
 
 from .modarith import ramanujan_sum
-from .qform import ProblemInstance, QForm, form_values
+from .qform import ProblemInstance, form_values
 
 _TEMPERING_DEFAULT = 0.4
 _SKEW_DEFAULT = -0.25
@@ -94,19 +96,6 @@ class WeightSpec:
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
         return c - self.radius, c + self.radius
-
-    def meets_variety(self, form: QForm, m0: int, samples: int = 41) -> bool:
-        """Numerical check that Supp(w) meets {F = m0}: the sign of F - m0
-        changes across sample points where w > 0."""
-        lo, hi = self.support_box()
-        axes = np.ix_(*(np.linspace(lo[i], hi[i], samples) for i in range(3)))
-        w = self.values(*axes)
-        f = form_values(form, *axes) - m0
-        inside = w > 1e-12
-        if not inside.any():
-            return False
-        fi = f[inside]
-        return bool(fi.min() < 0 < fi.max())
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +222,6 @@ def delta_symbol(kernel: DeltaKernel, n: int, q_max: int | None = None) -> float
     return total / Q**2
 
 
-def delta_symbol_literal(kernel: DeltaKernel, n: int, q_max: int) -> float:
-    """Same sum with the a-loop written out; oracle for the Ramanujan-sum
-    collapse, restricted to small q_max."""
-    if q_max > 50:
-        raise ValueError("literal a-loop reserved for q_max <= 50")
-    Q = kernel.Q
-    y = n / Q**2
-    total = 0.0
-    for q in range(1, q_max + 1):
-        hval = kernel.h(q / Q, y)
-        asum = 0.0
-        for a in range(q):
-            if math.gcd(a, q) == 1:
-                asum += math.cos(2.0 * math.pi * a * n / q)
-        total += asum * hval
-    return total / Q**2
-
-
 # ---------------------------------------------------------------------------
 # Oscillatory integrals
 # ---------------------------------------------------------------------------
@@ -287,6 +258,14 @@ class QuadratureSpec:
     max_nodes: int = 320
     refine_factor: float = 1.35
 
+    def __post_init__(self):
+        # refine_factor <= 1 would size osc_integral's error grid at
+        # ceil(n / refine_factor) > max_nodes when n sits at the cap
+        if self.base_nodes < 1 or self.max_nodes < 1:
+            raise ValueError("base_nodes and max_nodes must be at least 1")
+        if not self.refine_factor > 1:
+            raise ValueError("refine_factor must exceed 1")
+
     def nodes_for(self, cycles: float, features: float = 0.0) -> int:
         """Gauss-Legendre node count resolving `cycles` phase oscillations
         plus `features` amplitude features per axis (the kernel amplitude
@@ -302,8 +281,18 @@ class QuadratureSpec:
         return min(self.max_nodes, max(self.base_nodes, int(math.ceil(demand)) + 8))
 
 
-def _gl_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], read-only and shared by
+    every grid of n nodes per axis."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [lo, hi], as fresh arrays."""
+    x, w = _gl_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -447,7 +436,12 @@ def _mollifier_grid(instance: ProblemInstance, nodes: int):
     of the mollified integral that does not depend on eps."""
     axes, wts = _gl_box(instance.weight, (nodes, nodes, nodes))
     grid = np.ix_(*axes)
-    return instance.weight.values(*grid), form_values(instance.form, *grid) - instance.m0, wts
+    # w before F - m0, so the bump's grid-sized temporaries come and go
+    # while only w is held
+    w = instance.weight.values(*grid)
+    y = form_values(instance.form, *grid)
+    y -= instance.m0
+    return w, y, wts
 
 
 def _mollified(grid, eps: float) -> float:

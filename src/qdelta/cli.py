@@ -162,10 +162,13 @@ def quad_from_config(cfg: dict[str, str]) -> QuadratureSpec:
     for key in ("quad_nodes_per_cycle", "quad_nodes_per_feature"):
         if key in cfg:
             raise ConfigError(f"config field {key}: no longer read; remove it")
-    return QuadratureSpec(
-        base_nodes=_get_int(cfg, "quad_base_nodes", 24),
-        max_nodes=_get_int(cfg, "quad_max_nodes", 320),
-    )
+    try:
+        return QuadratureSpec(
+            base_nodes=_get_int(cfg, "quad_base_nodes", 24),
+            max_nodes=_get_int(cfg, "quad_max_nodes", 320),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid quadrature config: {exc}") from exc
 
 
 def _class_tag(instance: ProblemInstance, c) -> str:

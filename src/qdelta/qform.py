@@ -124,12 +124,21 @@ def evaluate(form: QForm, x) -> int:
 def form_values(form: QForm, x1, x2, x3):
     """F on arrays of coordinates, broadcast against each other; with open
     axes (x1[:, None, None], x2[None, :, None], x3[None, None, :]) this is F
-    on the tensor grid.  Fixed-width arithmetic: no overflow check."""
+    on the tensor grid.  Fixed-width arithmetic: no overflow check.
+
+    The six terms are summed in the order of the module docstring, but a
+    cross term with coefficient 0 is skipped and the others are added in
+    place into the full-size sum of squares.  On finite coordinates, adding
+    a zero term can change only the sign of an exact-zero float value, so
+    the result equals the literal six-term expression bit for bit wherever
+    F != 0.  Every float caller subtracts a nonzero m0 or target before
+    using the values, and integer arrays have no signed zero."""
     a11, a22, a33, a12, a13, a23 = form.coefficients()
-    return (
-        a11 * x1 * x1 + a22 * x2 * x2 + a33 * x3 * x3
-        + a12 * x1 * x2 + a13 * x1 * x3 + a23 * x2 * x3
-    )
+    out = a11 * x1 * x1 + a22 * x2 * x2 + a33 * x3 * x3
+    for a, u, v in ((a12, x1, x2), (a13, x1, x3), (a23, x2, x3)):
+        if a:
+            out += a * u * v
+    return out
 
 
 def dual_form(form: QForm) -> QForm:

@@ -17,13 +17,13 @@ from qdelta.arch import (
     _amplitude_grid,
     _axis_factors,
     _contract_axes,
+    _gl_axis,
     _gl_box,
     _mollified,
     _mollifier_grid,
     _trapezoid_box,
     coarea_integral,
     delta_symbol,
-    delta_symbol_literal,
     form_range,
     osc_integral,
     singular_integral,
@@ -31,6 +31,22 @@ from qdelta.arch import (
 from qdelta.qform import form_values
 
 from conftest import HYP_CENTER, make_instance
+
+
+def delta_symbol_literal(kernel: DeltaKernel, n: int, q_max: int) -> float:
+    """delta_symbol with the a-loop written out: the oracle for its
+    Ramanujan-sum collapse, for small q_max."""
+    Q = kernel.Q
+    y = n / Q**2
+    total = 0.0
+    for q in range(1, q_max + 1):
+        hval = kernel.h(q / Q, y)
+        asum = 0.0
+        for a in range(q):
+            if math.gcd(a, q) == 1:
+                asum += math.cos(2.0 * math.pi * a * n / q)
+        total += asum * hval
+    return total / Q**2
 
 
 class TestWeightSpec:
@@ -55,12 +71,6 @@ class TestWeightSpec:
         # approaching the support boundary the bump vanishes to high order
         for eps in (1e-2, 1e-3):
             assert float(w(np.array([1 - eps, 0, 0]))) < 1e-8
-
-    def test_meets_variety(self):
-        inst = make_instance()
-        assert inst.weight.meets_variety(inst.form, inst.m0)
-        off = WeightSpec(center=(5.0, 5.0, 0.1), radius=0.2)
-        assert not off.meets_variety(inst.form, inst.m0)
 
 
 class TestKernel:
@@ -299,7 +309,62 @@ class TestGridLayer:
         assert abs(_mollified(_mollifier_grid(inst, n), eps) - total) <= 1e-12 * total
 
 
+class TestGaussLegendreRule:
+    """One cached reference rule per node count, mapped per call."""
+
+    @pytest.mark.parametrize("n", [1, 24, 128, 129, 320])
+    def test_axis_matches_uncached_mapping(self, n):
+        lo, hi = -0.35, 2.15
+        x, w = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * (hi - lo)
+        for _ in range(2):  # the first call may build the rule, the second reads it
+            axis, wts = _gl_axis(lo, hi, n)
+            assert np.array_equal(axis, lo + half * (x + 1.0))
+            assert np.array_equal(wts, half * w)
+
+    def test_cached_rule_is_read_only(self):
+        x, w = arch._gl_rule(24)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        axis, wts = _gl_axis(0.0, 1.0, 24)
+        want = (axis.copy(), wts.copy())
+        axis[:] = 7.0
+        wts *= 2.0
+        again = _gl_axis(0.0, 1.0, 24)
+        assert np.array_equal(again[0], want[0]) and np.array_equal(again[1], want[1])
+
+    def test_one_rule_build_per_node_count(self, monkeypatch):
+        # at cap 48 the value grid has 48 nodes and the error grid 36; each
+        # call asks for both rules three times, and only the first call of
+        # each count reaches leggauss
+        real = np.polynomial.legendre.leggauss
+        built = []
+
+        def counting(n):
+            built.append(n)
+            return real(n)
+
+        arch._gl_rule.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        inst = make_instance()
+        first = osc_integral(inst, 0.6, (2, 1, 0), QuadratureSpec(max_nodes=48))
+        second = osc_integral(inst, 0.6, (2, 1, 0), QuadratureSpec(max_nodes=48))
+        assert sorted(built) == [36, 48]
+        assert first == second
+
+
 class TestQuadratureSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"base_nodes": 0}, {"max_nodes": 0}, {"max_nodes": -5},
+         {"refine_factor": 1.0}, {"refine_factor": 0.5}],
+        ids=["base_0", "max_0", "max_neg", "refine_1", "refine_half"],
+    )
+    def test_rejects_impossible_values(self, kwargs):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**kwargs)
+
     def test_nodes_monotone(self):
         q = QuadratureSpec()
         assert q.nodes_for(0.0) == q.base_nodes

@@ -224,6 +224,22 @@ class TestSubcommands:
         assert not (tmp_path / "compare.json").exists()
 
     @pytest.mark.parametrize(
+        "extra",
+        ["quad_max_nodes = 0\n", "quad_max_nodes = -5\n", "quad_base_nodes = 0\n"],
+        ids=["max_0", "max_neg", "base_0"],
+    )
+    def test_exit_code_2_on_impossible_node_count(self, cfg_file, tmp_path, capsys, extra):
+        # a node count below 1 is a config error, not leggauss's failure
+        # reported as a resource bound
+        p = tmp_path / "q.cfg"
+        p.write_text(cfg_file.read_text() + extra)
+        rc = main(["compare", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "at least 1" in err
+        assert not (tmp_path / "compare.json").exists()
+
+    @pytest.mark.parametrize(
         "command, extra, output",
         [
             ("expsum", "q_range = 5:1\n", "expsum.csv"),

@@ -14,6 +14,7 @@ from qdelta.qform import (
     _classify_array,
     classify_c,
     evaluate,
+    form_values,
     psi0,
 )
 
@@ -187,3 +188,53 @@ class TestClassifyC:
                 _classify_array(inst, *np.array(c)[:, None])
             with pytest.raises(OverflowError):
                 classify_c(inst, c)
+
+
+# forms with 0, 1, 2 and 3 nonzero cross terms
+_FORMS = [(1, 1, -1), (2, 1, -1, 2, 0, 0), (2, 3, 1, 2, 0, 2), (3, 5, -7, 2, 4, -6)]
+
+
+def _six_terms(form: QForm, x1, x2, x3):
+    """F written out as the literal six-term sum."""
+    a11, a22, a33, a12, a13, a23 = form.coefficients()
+    return (
+        a11 * x1 * x1 + a22 * x2 * x2 + a33 * x3 * x3
+        + a12 * x1 * x2 + a13 * x1 * x3 + a23 * x2 * x3
+    )
+
+
+class TestFormValues:
+    @pytest.mark.parametrize("coeffs", _FORMS, ids=["0", "1", "2", "3"])
+    def test_matches_exact_evaluate_on_int64(self, coeffs):
+        form = QForm(*coeffs)
+        axes = np.ix_(*(np.arange(-4, 5, dtype=np.int64) + k for k in range(3)))
+        got = form_values(form, *axes)
+        assert got.dtype == np.int64 and got.shape == (9, 9, 9)
+        for idx in np.ndindex(got.shape):
+            x = tuple(int(a.ravel()[i]) for a, i in zip(axes, idx))
+            assert got[idx] == evaluate(form, x), x
+
+    @pytest.mark.parametrize("coeffs", _FORMS, ids=["0", "1", "2", "3"])
+    def test_bitwise_equal_to_six_terms(self, coeffs):
+        # float open axes, one of them Gauss-Legendre nodes; equal values,
+        # and equal sign bits wherever F != 0
+        form = QForm(*coeffs)
+        x, _ = np.polynomial.legendre.leggauss(11)
+        axes = np.ix_(np.linspace(-1.3, 1.7, 9), 0.5 + 0.9 * x, np.linspace(0.1, 2.3, 10))
+        got, want = form_values(form, *axes), _six_terms(form, *axes)
+        assert got.shape == want.shape == (9, 11, 10)
+        assert np.array_equal(got, want)
+        nz = want != 0
+        assert np.array_equal(np.signbit(got[nz]), np.signbit(want[nz]))
+
+    def test_negative_definite_at_origin(self):
+        # F(0) is an exact zero whose sign depends on the skipped cross
+        # terms (-0.0 here, +0.0 from the six-term sum); F - m0 is the same
+        form, m0 = QForm(-1, -2, -3), -1
+        axes = np.ix_(*(np.linspace(-1.0, 1.0, 5),) * 3)
+        got, want = form_values(form, *axes), _six_terms(form, *axes)
+        assert np.signbit(got[2, 2, 2]) and not np.signbit(want[2, 2, 2])
+        got -= m0
+        want -= m0
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
