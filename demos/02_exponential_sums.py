@@ -8,7 +8,9 @@ independent facts make it computable at scale:
      collects the primes dividing the invariant 2*L*det(F).
   2. The q1-factor has a closed form: a Jacobi symbol times a short sum over
      square roots of a discriminant mod q1 -- evaluation cost ~log q1 instead
-     of q1^3.
+     of q1^3.  Where q1 shares a prime with m0*N (say p0 | q1), that part v
+     of q1 is summed by its definition and the rest, u = q1 / v, stays
+     closed.
   3. The ramified q2-factor decomposes over Dirichlet characters, which is
      how the averaged estimates are organized.
 
@@ -20,8 +22,10 @@ from __future__ import annotations
 import math
 
 from qdelta.arch import WeightSpec
-from qdelta.expsums import brute_S, brute_S1, brute_S2, calA, calS, crt_split, lemma21_eval
-from qdelta.modarith import characters_mod
+from qdelta.expsums import (
+    brute_S, brute_S1, brute_S2, calA, calS, crt_split, lemma21_eval, sqc_value,
+)
+from qdelta.modarith import characters_mod, smooth_part
 from qdelta.qform import CongruenceDatum, ProblemInstance, QForm
 
 inst = ProblemInstance(
@@ -47,6 +51,20 @@ for q1 in (7, 23, 59):
         brute = brute_S1(inst, q1, 2, cc).value
         print(f"q1={q1:3d}, c={cc}:  closed {closed.real:+12.4f}  "
               f"brute {brute.real:+12.4f}  dev {abs(closed - brute):.2e}")
+
+print()
+print("== S_q(c) from its factors: closed form on u, definition on v ==")
+inst625 = inst.with_h(2)  # N = 625
+q, c625 = 205, (1, 1, 0)
+q1, q2 = crt_split(inst625, q)
+v = smooth_part(q1, inst625.mN)
+u = q1 // v
+closed_u = lemma21_eval(inst625, u, q // u, c625).value
+brute_v = brute_S1(inst625, v, q // v, c625).value
+whole = brute_S(inst625, q, c625).value
+print(f"N=625, q={q} = u*v*q2 = {u}*{v}*{q2}, c={c625}:  closed(u) * S1(v) = "
+      f"{(closed_u * brute_v).real:+.4f}  brute_S {whole.real:+.4f}  "
+      f"sqc_value dev {abs(sqc_value(inst625, q, c625) - whole):.2e}")
 
 print()
 print("== character decomposition of the ramified factor ==")

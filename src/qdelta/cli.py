@@ -224,6 +224,8 @@ def cmd_count(args, cfg) -> int:
 def cmd_expsum(args, cfg) -> int:
     instance = build_instance(cfg)
     q_lo, q_hi = _get_range(cfg, "q_range", (1, 50))
+    if q_lo < 1:
+        raise ConfigError(f"config field q_range: q must be positive, got lo = {q_lo}")
     c_field = cfg.get("c_list", "0,0,0")
     c_list = []
     for chunk in c_field.split(";"):

@@ -7,19 +7,22 @@ quadratic root sets, and the character averages used to organize the ramified
 part.
 
 The unit a-sums are collapsed to Ramanujan sums c_q(m) via the Mobius/gcd
-formula; `*_literal` variants keep the raw double loop and serve as oracles
-for that collapse.  S_q(c), S1, S2 and the cone sum calT1 are one object, the
-amplitude A(s) = [L^2 | g] c_q(g / L^2) with g = F(scale*s + lam) - target,
-s mod qL, summed against e_{qL}(c.s).  One kernel, `_amplitude_rows`, builds
-A row by row; it has two consumers: `_amplitude_sums` for a list of c, which
-builds each row once and contracts it against every c's phases (memory
+formula; the raw double loops live in the tests as oracles for that collapse.
+S_q(c), S1, S2 and the cone sum calT1 are one object, the amplitude
+A(s) = [L^2 | g] c_q(g / L^2) with g = F(scale*s + lam) - target, s mod qL,
+summed against e_{qL}(c.s).  One kernel, `_amplitude_rows`, builds A row by
+row; it has two consumers: `_amplitude_sums` for a list of c, which builds
+each row once and contracts it against every c's phases (memory
 O((qL)^2 + len(cs) qL)), and `_amplitude_table` for every c mod qL at once
 (one FFT).  All vectorized reductions run in a fixed order, the same for a c
 whatever list it comes in, so results are reproducible bit-for-bit.
 
-Every S_q(c) route is chosen here, by qL against GRID_MODULUS_BOUND:
-`sqc_values` for a list of c, and `sqc_window` for the Poisson assembly's
-dual window, a cube of c (a gather from `sqc_grid`, or sqc_value per c).
+Every S_q(c) route is chosen here.  `sqc_values`, for a list of c, takes one
+route at every q: the product of its CRT factors, Lemma 2.1's closed form on
+the part of q1 prime to m0 N and definition-level sums only on the small
+parts of q that share primes with m0 N or with Omega.  `sqc_window`, for the
+Poisson assembly's dual window (a cube of c), gathers from the (qL)^3 table
+`sqc_grid` up to qL = GRID_MODULUS_BOUND and calls sqc_value per c beyond.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .qform import ProblemInstance, evaluate, form_values
 _BRUTE_MODULUS_BOUND = 10**4
 _CALS_BOUND = 10**4
 _CALA_BOUND = 3000
-# Largest qL whose S_q(c) comes from a (qL)^3 residue table (sqc_grid) or the
-# definition (brute_S); beyond it, sqc_values takes the CRT split.
+# Largest qL for which sqc_window gathers S_q(c) from a (qL)^3 residue table
+# (sqc_grid), and so the largest table sqc_table_peak sizes.
 GRID_MODULUS_BOUND = 200
 # bytes per residue sqc_grid holds at its peak: the real (qL)^3 amplitude,
 # its complex FFT and the conjugate (40.0 traced at qL = 100 and 200)
@@ -214,7 +217,8 @@ def brute_S(instance: ProblemInstance, q: int, c) -> ComplexSum:
     """Definition-level S_q(c): a mod q coprime, sigma mod qL with
     L^2 | F(L sigma + lam_N) - m0 N, summand e_{qL}(a (F(..)-m0N)/L + c.sigma).
 
-    The a-sum is a Ramanujan sum (see `brute_S_literal` for the raw loop).
+    The a-sum is a Ramanujan sum; tests/test_expsums.py keeps the raw a- and
+    sigma-loops (`brute_S_literal`, `brute_S_reordered`) as its oracle.
     """
     return _S_sums(instance, q, [c])[0]
 
@@ -223,58 +227,6 @@ def _S_sums(instance: ProblemInstance, q: int, cs) -> list[ComplexSum]:
     """brute_S at each c in cs, from one pass over the residue amplitude."""
     L = instance.L
     return _amplitude_sums(instance.form, q, L, L, instance.lam_N, instance.mN, cs)
-
-
-def brute_S_literal(instance: ProblemInstance, q: int, c) -> ComplexSum:
-    """Raw double loop over sigma (lexicographic) and a; oracle for brute_S."""
-    L = instance.L
-    qL = q * L
-    if qL > 40:
-        raise ValueError("literal loop reserved for small moduli")
-    lam = instance.lam_N
-    mN = instance.mN
-    tab = [cmath.exp(2j * cmath.pi * k / qL) for k in range(qL)]
-    coprime = [a for a in range(q) if math.gcd(a, q) == 1]
-    total = 0j
-    terms = 0
-    for s1 in range(qL):
-        for s2 in range(qL):
-            for s3 in range(qL):
-                g = evaluate(instance.form, (L * s1 + lam[0], L * s2 + lam[1], L * s3 + lam[2])) - mN
-                if g % (L * L) != 0:
-                    continue
-                cdot = (c[0] * s1 + c[1] * s2 + c[2] * s3) % qL
-                gl = g // L
-                for a in coprime:
-                    total += tab[(a * gl + cdot) % qL]
-                    terms += 1
-    return ComplexSum(total, terms)
-
-
-def brute_S_reordered(instance: ProblemInstance, q: int, c) -> ComplexSum:
-    """Same sum with the a-loop outermost and direct exponentials; independent
-    reimplementation used as a cross-check."""
-    L = instance.L
-    qL = q * L
-    if qL > 40:
-        raise ValueError("literal loop reserved for small moduli")
-    lam = instance.lam_N
-    mN = instance.mN
-    total = 0j
-    terms = 0
-    for a in range(q):
-        if math.gcd(a, q) != 1:
-            continue
-        for s1 in range(qL):
-            for s2 in range(qL):
-                for s3 in range(qL):
-                    g = evaluate(instance.form, (L * s1 + lam[0], L * s2 + lam[1], L * s3 + lam[2])) - mN
-                    if g % (L * L) != 0:
-                        continue
-                    arg = a * (g // L) + c[0] * s1 + c[1] * s2 + c[2] * s3
-                    total += cmath.exp(2j * cmath.pi * (arg % qL) / qL)
-                    terms += 1
-    return ComplexSum(total, terms)
 
 
 def brute_S1(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
@@ -458,21 +410,28 @@ def sqc_grid(instance: ProblemInstance, q: int) -> np.ndarray:
 
 
 def sqc_values(instance: ProblemInstance, q: int, cs) -> list[complex]:
-    """S_q(c) at each c in cs: the definition (brute_S) up to qL =
-    GRID_MODULUS_BOUND, beyond it the CRT split S1 * S2 with S1 in closed form
-    where Lemma 2.1 applies (q1 odd and prime to m0 N), else by its definition.
-    Each residue amplitude is built once for the whole list, and a value does
-    not depend on the list it comes in."""
+    """S_q(c) at each c in cs, from its CRT factors at every q:
+
+        S_q(c) = lemma21_eval(u, q/u, c) * S1(v, q/v, c) * S2(q1, q2, c)
+
+    with (q1, q2) = crt_split(q), v the part of q1 sharing primes with m0 N
+    and u = q1 / v, where Lemma 2.1's closed form holds.  S1 at modulus v and
+    S2 at modulus q2 L are definition-level sums, each built once for the
+    whole list; a factor of modulus 1 is the constant 1 and is skipped.  A
+    value does not depend on the list it comes in."""
     if not cs:
         return []
-    if q * instance.L <= GRID_MODULUS_BOUND:
-        return [complex(s.value) for s in _S_sums(instance, q, cs)]
     q1, q2 = crt_split(instance, q)
-    if q1 % 2 == 1 and math.gcd(q1, instance.mN) == 1:
-        s1 = [lemma21_eval(instance, q1, q2, c).value for c in cs]
-    else:
-        s1 = [s.value for s in _S1_sums(instance, q1, q2, cs)]
-    return [complex(a * b.value) for a, b in zip(s1, _S2_sums(instance, q1, q2, cs))]
+    v = smooth_part(q1, instance.mN)
+    u = q1 // v
+    vals = [1 + 0j] * len(cs)
+    if u > 1:
+        vals = [lemma21_eval(instance, u, q // u, c).value for c in cs]
+    if v > 1:
+        vals = [a * s.value for a, s in zip(vals, _S1_sums(instance, v, q // v, cs))]
+    if q2 * instance.L > 1:
+        vals = [a * s.value for a, s in zip(vals, _S2_sums(instance, q1, q2, cs))]
+    return [complex(a) for a in vals]
 
 
 def sqc_value(instance: ProblemInstance, q: int, c) -> complex:

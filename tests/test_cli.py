@@ -255,6 +255,17 @@ class TestSubcommands:
         assert extra.split()[0] in capsys.readouterr().err
         assert not (tmp_path / output).exists()
 
+    @pytest.mark.parametrize("q_range", ["0:3", "-2:5"])
+    def test_exit_code_2_on_nonpositive_q(self, cfg_file, tmp_path, capsys, q_range):
+        # a q range reaching below 1 is a config error, refused before
+        # expsum.csv is opened
+        p = tmp_path / "q.cfg"
+        p.write_text(cfg_file.read_text() + f"q_range = {q_range}\n")
+        rc = main(["expsum", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "q_range" in capsys.readouterr().err
+        assert not (tmp_path / "expsum.csv").exists()
+
     def test_exit_code_2_on_absent_file(self, tmp_path, capsys):
         rc = main(["count", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 2

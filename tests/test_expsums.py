@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -19,8 +20,6 @@ from qdelta.expsums import (
     brute_S1,
     brute_S1_grid,
     brute_S2,
-    brute_S_literal,
-    brute_S_reordered,
     calA,
     calS,
     calT1,
@@ -34,8 +33,61 @@ from qdelta.expsums import (
     sqc_window,
 )
 from qdelta.modarith import characters_mod, smooth_part
+from qdelta.qform import evaluate
 
 from conftest import make_instance
+
+
+def brute_S_literal(instance, q: int, c) -> ComplexSum:
+    """Raw double loop over sigma (lexicographic) and a; oracle for brute_S."""
+    L = instance.L
+    qL = q * L
+    if qL > 40:
+        raise ValueError("literal loop reserved for small moduli")
+    lam = instance.lam_N
+    mN = instance.mN
+    tab = [cmath.exp(2j * cmath.pi * k / qL) for k in range(qL)]
+    coprime = [a for a in range(q) if math.gcd(a, q) == 1]
+    total = 0j
+    terms = 0
+    for s1 in range(qL):
+        for s2 in range(qL):
+            for s3 in range(qL):
+                g = evaluate(instance.form, (L * s1 + lam[0], L * s2 + lam[1], L * s3 + lam[2])) - mN
+                if g % (L * L) != 0:
+                    continue
+                cdot = (c[0] * s1 + c[1] * s2 + c[2] * s3) % qL
+                gl = g // L
+                for a in coprime:
+                    total += tab[(a * gl + cdot) % qL]
+                    terms += 1
+    return ComplexSum(total, terms)
+
+
+def brute_S_reordered(instance, q: int, c) -> ComplexSum:
+    """Same sum with the a-loop outermost and direct exponentials; independent
+    reimplementation used as a cross-check."""
+    L = instance.L
+    qL = q * L
+    if qL > 40:
+        raise ValueError("literal loop reserved for small moduli")
+    lam = instance.lam_N
+    mN = instance.mN
+    total = 0j
+    terms = 0
+    for a in range(q):
+        if math.gcd(a, q) != 1:
+            continue
+        for s1 in range(qL):
+            for s2 in range(qL):
+                for s3 in range(qL):
+                    g = evaluate(instance.form, (L * s1 + lam[0], L * s2 + lam[1], L * s3 + lam[2])) - mN
+                    if g % (L * L) != 0:
+                        continue
+                    arg = a * (g // L) + c[0] * s1 + c[1] * s2 + c[2] * s3
+                    total += cmath.exp(2j * cmath.pi * (arg % qL) / qL)
+                    terms += 1
+    return ComplexSum(total, terms)
 
 
 @pytest.fixture(scope="module")
@@ -111,15 +163,16 @@ class TestGrids:
 
 class TestClosedFormRoute:
     """sqc_value beyond the grid bound against the definition-level sum,
-    on both S1 routes (closed form and brute_S1)."""
+    with q1 wholly in closed form and with a part of q1 (here 5 = p0) that
+    S1 takes by its definition."""
 
     @pytest.mark.parametrize(
         "h, L, lam, q, closed_s1",
         [
             (2, 1, (0, 0, 0), 201, True),    # N = 625: q1 = 201 prime to 5
-            (2, 1, (0, 0, 0), 205, False),   # 5 | q1, so S1 by its definition
+            (2, 1, (0, 0, 0), 205, False),   # q1 = 41 * 5: S1(5) by its definition
             (1, 2, (1, 0, 0), 101, True),    # L = 2: qL = 202
-            (1, 2, (1, 0, 0), 105, False),   # qL = 210, 5 | q1
+            (1, 2, (1, 0, 0), 105, False),   # qL = 210, q1 = 21 * 5
         ],
     )
     def test_matches_brute_beyond_grid_bound(self, h, L, lam, q, closed_s1):
@@ -132,11 +185,59 @@ class TestClosedFormRoute:
             assert abs(sqc_value(inst, q, c) - want) <= 1e-9 * max(1.0, abs(want)), c
 
 
+# instances for the factor coverage below: Omega = 2 L det(F), and m0 N
+# carries the primes of m0 and p0
+HYP625 = dict(h=2)                                       # Omega = -2, m0 N = 5^4
+CONG = dict(L=2, lam=(1, 0, 0))                          # Omega = -4, m0 N = 5^2
+HYP_M03 = dict(m0=3)                                     # m0 N = 3 * 5^2
+CROSS = dict(coeffs=(2, 3, 1, 2, 0, 2), p0=7)            # det 3: Omega = 6, m0 N = 7^2
+
+
+class TestFactoredRoute:
+    """sqc_values against the definition-level sum at qL <= GRID_MODULUS_BOUND,
+    the range sqc_values no longer sums whole.  Its route is
+    S_q(c) = lemma21_eval(u, q/u) * S1(v, q/v) * S2(q1, q2) with
+    (q1, q2) = crt_split(q), v the part of q1 sharing primes with m0 N and
+    u = q1 / v; the cases give each of u, v, q2 the value 1 and a value > 1."""
+
+    CS = ((0, 0, 0), (1, -2, 3), (4, 1, -1), (2, 2, 1))
+
+    @pytest.mark.parametrize(
+        "kw, q, u, v, q2",
+        [
+            (HYP625, 1, 1, 1, 1),
+            (HYP625, 3, 3, 1, 1),
+            (HYP625, 5, 1, 5, 1),
+            (HYP625, 8, 1, 1, 8),
+            (HYP625, 30, 3, 5, 2),      # all three factors > 1
+            (HYP625, 175, 7, 25, 1),
+            (CONG, 1, 1, 1, 1),         # S2 alone, at modulus L = 2
+            (CONG, 30, 3, 5, 2),
+            (CONG, 100, 1, 25, 4),      # qL = GRID_MODULUS_BOUND
+            (HYP_M03, 21, 7, 3, 1),     # v from m0, not p0
+            (HYP_M03, 30, 1, 15, 2),
+            (CROSS, 15, 5, 1, 3),       # q2 = 3 | det: more than the 2-part
+            (CROSS, 105, 5, 7, 3),
+        ],
+        ids=["hyp625-1", "hyp625-3", "hyp625-5", "hyp625-8", "hyp625-30", "hyp625-175",
+             "cong-1", "cong-30", "cong-100", "m03-21", "m03-30", "cross-15", "cross-105"],
+    )
+    def test_matches_brute(self, kw, q, u, v, q2):
+        inst = make_instance(**kw)
+        assert q * inst.L <= GRID_MODULUS_BOUND
+        q1, split_q2 = crt_split(inst, q)
+        ramified = smooth_part(q1, inst.mN)
+        assert (q1 // ramified, ramified, split_q2) == (u, v, q2)
+        for c, got in zip(self.CS, sqc_values(inst, q, self.CS), strict=True):
+            want = brute_S(inst, q, c).value
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), c
+
+
 class TestWindow:
     """sqc_window on the cube arange(-3, 4)^3 against S_q(c) per c.  Beyond
     the grid bound it is sqc_value itself, so `==`.  Up to the bound it is a
     gather from the FFT table: `==` to that table entry by entry, and within
-    rounding of the definition-level sum (FFT against direct summation)."""
+    rounding of sqc_values (the whole FFT against the factored sums)."""
 
     @pytest.mark.parametrize(
         "h, L, lam, q",
@@ -209,20 +310,21 @@ class TestBatchedSums:
         "h, L, lam, q",
         [
             (2, 1, (0, 0, 0), 6),
-            (2, 1, (0, 0, 0), 200),    # qL = GRID_MODULUS_BOUND: brute_S
-            (2, 1, (0, 0, 0), 201),    # S1 in closed form
-            (2, 1, (0, 0, 0), 205),    # S1 by its definition
+            (2, 1, (0, 0, 0), 200),    # qL = GRID_MODULUS_BOUND: u = 1, v = 25, q2 = 8
+            (2, 1, (0, 0, 0), 201),    # S1 wholly in closed form
+            (2, 1, (0, 0, 0), 205),    # u = 41, v = 5
             (1, 2, (1, 0, 0), 3),
             (1, 2, (1, 0, 0), 100),    # qL = 200
-            (1, 2, (1, 0, 0), 101),    # qL = 202, S1 in closed form
-            (1, 2, (1, 0, 0), 105),    # qL = 210, S1 by its definition
+            (1, 2, (1, 0, 0), 101),    # qL = 202, S1 wholly in closed form
+            (1, 2, (1, 0, 0), 105),    # qL = 210, u = 21, v = 5
         ],
     )
     def test_matches_one_c_oracle(self, h, L, lam, q):
         inst = make_instance(h=h, L=L, lam=lam)
         form, lam_N, mN = inst.form, inst.lam_N, inst.mN
         q1, q2 = crt_split(inst, q)
-        closed_s1 = q1 % 2 == 1 and math.gcd(q1, mN) == 1
+        v = smooth_part(q1, mN)
+        u = q1 // v
         for c, got in zip(self.BATCH, sqc_values(inst, q, self.BATCH), strict=True):
             s1 = _amplitude_sum(form, q1, 1, q2 * L * L, lam_N, mN, c)
             s2 = _amplitude_sum(form, q2, L, L * q1, lam_N, mN, c)
@@ -231,10 +333,10 @@ class TestBatchedSums:
             if q * L <= GRID_MODULUS_BOUND:
                 whole = _amplitude_sum(form, q, L, L, lam_N, mN, c)
                 assert brute_S(inst, q, c) == whole, c
-                assert got == complex(whole.value), c
-            else:
-                front = lemma21_eval(inst, q1, q2, c).value if closed_s1 else s1.value
-                assert got == complex(front * s2.value), c
+            # sqc_values' route: closed form on u, S1 by definition on v, S2
+            closed = lemma21_eval(inst, u, q // u, c).value
+            s1_v = _amplitude_sum(form, v, 1, (q // v) * L * L, lam_N, mN, c).value
+            assert got == complex(closed * s1_v * s2.value), c
 
     def test_empty_batch(self, hyp):
         assert sqc_values(hyp, 7, []) == []
