@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
-from .modarith import jacobi, quadratic_roots, ramanujan_sum, smooth_part
+from .modarith import divisors, euler_phi, jacobi, quadratic_roots, ramanujan_sum, smooth_part
 from .qform import ProblemInstance, evaluate, form_values
 
 _BRUTE_MODULUS_BOUND = 10**4
@@ -83,7 +82,7 @@ def _exp_table(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _ramanujan_by_gcd(q: int) -> dict[int, int]:
     """c_q(m) depends on m only through gcd(m, q); table over divisors of q."""
-    return {d: ramanujan_sum(q, d) for d in sympy.divisors(q)}
+    return {d: ramanujan_sum(q, d) for d in divisors(q)}
 
 
 def _ramanujan_vector(q: int, m: np.ndarray) -> np.ndarray:
@@ -203,7 +202,7 @@ def _amplitude_sums(form, q: int, L: int, scale: int, lam, target: int, cs) -> l
         for k, c in enumerate(cs):
             totals[k] += tab[(c[0] * s1) % size] * _sum_masked_phase(amp, ph2[k], ph3[k])
         nsol += count
-    terms = int(sympy.totient(q)) * nsol
+    terms = euler_phi(q) * nsol
     return [ComplexSum(total, terms) for total in totals]
 
 
@@ -338,7 +337,7 @@ def calS(instance: ProblemInstance, l: int, x: int, c) -> ComplexSum:
     grid, nsol = _cal_grid_cached(instance, l)
     xinv = pow(x % mod, -1, mod) if mod > 1 else 0
     idx = tuple((xinv * int(v)) % mod for v in c)
-    phi_l = int(sympy.totient(l))
+    phi_l = euler_phi(l)
     return ComplexSum(complex(grid[idx]), phi_l * nsol)
 
 
@@ -395,7 +394,7 @@ def calT2(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
     tab = _exp_table(mod)
     phase = tab[((xinv * (c[0] * b1 + c[1] * b2 + c[2] * b3)) % mod)]
     val = complex(np.sum(amp * phase))
-    phi = int(sympy.totient(nat))
+    phi = euler_phi(nat)
     return ComplexSum(val, phi * nsol)
 
 

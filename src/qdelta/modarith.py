@@ -1,11 +1,13 @@
-"""Exact modular arithmetic: factorization, CRT, Jacobi symbols, Dirichlet
-characters, and complete square-root sets modulo n.
+"""Exact modular arithmetic: factorization, primality, CRT, Jacobi symbols,
+Dirichlet characters, and complete square-root sets modulo n.
 
 Everything here works with plain Python integers and is exact.  Factorization
-and primality are delegated to sympy (deterministic well past 2**64); the
-character machinery and quadratic root lifting are implemented here because we
-need complete root sets at ramified primes and characters indexed by explicit
-generator bases.
+is trial division by the primes below 1000, then Pollard-Brent rho on what is
+left; primality is deterministic Miller-Rabin with the prime bases 2..41, exact
+below 3.3e24.  The character machinery and quadratic root lifting are
+implemented here because we need complete root sets at ramified primes and
+characters indexed by explicit generator bases (the smallest primitive root
+of each odd prime power).
 """
 
 from __future__ import annotations
@@ -15,10 +17,90 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import sympy
-
 _MAX_FACTOR_INPUT = 1 << 63
 _MAX_CHARACTER_MODULUS = 10**6
+# Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BOUND = 3317044064679887385961981
+_TRIAL_LIMIT = 1000
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """Primes p <= bound, ascending (sieve of Eratosthenes)."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]
+
+
+_SMALL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT))
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n below 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BASES[-1] ** 2:
+        return True
+    if n >= _MR_EXACT_BOUND:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BOUND}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of the odd composite n, not a perfect square.
+
+    Brent's cycle search on x -> x^2 + c, with the gcd taken once per batch
+    of 128 steps and a step-by-step replay of the last batch when the batched
+    gcd overshoots to n; c = 1, 2, ... until a proper factor appears.
+    """
+    batch = 128
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise RuntimeError(f"Pollard-Brent found no factor of {n}")
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -28,30 +110,90 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """
     if not 1 <= n <= _MAX_FACTOR_INPUT:
         raise ValueError(f"factorize requires 1 <= n <= 2**63, got {n}")
-    return sorted(sympy.factorint(n).items())
+    out: list[tuple[int, int]] = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    if n == 1:
+        return out
+    if n < _TRIAL_LIMIT**2:  # no factor below 1000 and below 1000^2: prime
+        return out + [(n, 1)]
+    large: dict[int, int] = {}
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            large[m] = large.get(m, 0) + 1
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            pending += [root, root]
+        else:
+            d = _pollard_brent(m)
+            pending += [d, m // d]
+    return out + sorted(large.items())
 
 
-def is_prime(n: int) -> bool:
-    return bool(sympy.isprime(n))
-
-
-def primes_up_to(bound: int) -> list[int]:
-    return list(sympy.primerange(2, bound + 1))
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def euler_phi(n: int) -> int:
-    return int(sympy.totient(n))
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(n))
 
 
 def mobius(n: int) -> int:
-    return int(sympy.mobius(n))
+    fac = factorize(n)
+    if any(e > 1 for _, e in fac):
+        return 0
+    return -1 if len(fac) % 2 else 1
 
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"Jacobi symbol requires odd n >= 1, got n={n}")
-    return int(sympy.jacobi_symbol(a, n))
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def primitive_root(p: int, e: int = 1) -> int:
+    """Smallest primitive root mod p^e for an odd prime p and e >= 1.
+
+    g generates (Z/p^eZ)* exactly when it generates (Z/pZ)* and, for e >= 2,
+    g^(p-1) != 1 mod p^2; candidates are tried in increasing order.
+    """
+    if p == 2 or e < 1 or not is_prime(p):
+        raise ValueError(f"primitive_root requires an odd prime p and e >= 1, got {p}, {e}")
+    cofactors = [(p - 1) // r for r, _ in factorize(p - 1)]
+    g = 2
+    while (
+        g % p == 0
+        or any(pow(g, k, p) == 1 for k in cofactors)
+        or (e > 1 and pow(g, p - 1, p * p) == 1)
+    ):
+        g += 1
+    return g
 
 
 def is_square(n: int) -> bool:
@@ -94,7 +236,7 @@ def ramanujan_sum(q: int, m: int) -> int:
     g = math.gcd(m % q if q > 1 else 0, q)
     # c_q(m) = sum_{d | gcd(q,m)} d * mu(q/d)
     total = 0
-    for d in sympy.divisors(g):
+    for d in divisors(g):
         total += d * mobius(q // d)
     return total
 
@@ -125,7 +267,7 @@ def _unit_group(n: int):
             else:
                 gens = [(pe - 1, 2), (5, 2 ** (e - 2))]
         else:
-            g = int(sympy.primitive_root(pe))
+            g = primitive_root(p, e)
             gens = [(g, pe - pe // p)]
         local.append((pe, gens))
 
@@ -218,7 +360,7 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """Smallest d | modulus such that chi factors through (Z/dZ)*."""
         n = self.modulus
-        for d in sorted(sympy.divisors(n)):
+        for d in divisors(n):
             if all(
                 abs(self(x) - 1) < 1e-12
                 for x in range(1, n + 1, d if d > 0 else 1)
@@ -260,7 +402,23 @@ def _sqrt_mod_prime(d: int, p: int) -> list[int]:
         return [0]
     if jacobi(d, p) != 1:
         return []
-    r = int(sympy.sqrt_mod(d, p))
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    c, t, r = pow(z, odd, p), pow(d, odd, p), pow(d, (odd + 1) // 2, p)
+    # invariant: r^2 = t d mod p, with t of order dividing 2^(s-1)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
     return sorted({r, p - r})
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .modarith import is_square, jacobi
+from .modarith import is_prime, is_square, jacobi
 
 _INT128_MAX = 1 << 127
 
@@ -217,8 +217,6 @@ class ProblemInstance:
             raise ValueError("m0 must be nonzero")
         if self.h < 0:
             raise ValueError("h must be nonnegative")
-        from .modarith import is_prime
-
         if not is_prime(self.p0):
             raise ValueError(f"p0={self.p0} is not prime")
         if self.cong.L % self.p0 == 0:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -78,6 +79,18 @@ class TestKernel:
         kern = DeltaKernel(Q=5.0)
         mass, err = scipy_quad(lambda t: float(kern.omega(np.asarray([t]))[0]), 0.5, 1.0)
         assert abs(mass - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("tempering", [0.4, 1.0])
+    def test_mass_against_mpmath(self, tempering):
+        skew = -0.25
+        with mpmath.workdps(30):
+            ref = mpmath.quad(
+                lambda t: mpmath.exp(-tempering / ((t - 0.5) * (1 - t)))
+                * (1 + skew * (t - 0.75)),
+                [0.5, 0.75, 1],
+            )
+        mass = arch._omega_mass(tempering, skew)
+        assert abs(mass - float(ref)) <= 1e-15 * float(ref)
 
     def test_omega_support(self):
         kern = DeltaKernel(Q=5.0)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -305,3 +308,25 @@ class TestSubcommands:
         assert rc == 3
         assert "2^62" in capsys.readouterr().err
         assert not (tmp_path / "count.json").exists()
+
+
+def test_runtime_imports_neither_sympy_nor_scipy():
+    """The cold start stays numpy-only: the command line, the pipeline, the
+    kernel mass and L(1, psi0) run without importing sympy or scipy."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import qdelta.cli, qdelta.pipeline\n"
+        "from qdelta.arch import DeltaKernel\n"
+        "from qdelta.localdens import L_one_psi0\n"
+        "from qdelta.qform import QForm\n"
+        "DeltaKernel(Q=5).omega(np.linspace(0.4, 1.1, 8))\n"
+        "L_one_psi0(QForm.diagonal(1, 1, 1), 1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

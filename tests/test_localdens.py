@@ -7,7 +7,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.special import digamma as scipy_digamma
 
 from qdelta import localdens
 from qdelta.localdens import (
@@ -214,3 +216,12 @@ class TestLValue:
     def test_rejects_square_discriminant(self):
         with pytest.raises(ValueError):
             L_one_psi0(QForm.diagonal(1, 1, -1), 1)
+
+    def test_digamma_series_against_scipy(self):
+        x = np.concatenate([np.linspace(8.0, 20.0, 4001), np.geomspace(8.0, 1e5, 4001)])
+        ref = scipy_digamma(x)
+        assert np.max(np.abs(localdens._digamma(x) - ref) / np.abs(ref)) <= 1e-15
+
+    def test_digamma_series_rejects_small_argument(self):
+        with pytest.raises(ValueError):
+            localdens._digamma(np.array([7.9, 12.0]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import pytest
 import sympy
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from qdelta.modarith import (
     DirichletCharacter,
     characters_mod,
+    _sqrt_mod_prime,
     crt_pair,
+    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -21,6 +24,7 @@ from qdelta.modarith import (
     jacobi,
     mobius,
     primes_up_to,
+    primitive_root,
     quadratic_roots,
     ramanujan_sum,
     smooth_part,
@@ -43,6 +47,72 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_random_against_sympy(self):
+        rng = random.Random(20261019)
+        for n in [rng.randrange(1, 2**63) for _ in range(200)]:
+            assert factorize(n) == sorted(sympy.factorint(n).items()), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2**61 - 1,
+            2**63 - 25,  # the largest prime below 2^63
+            (2**31 - 1) * (2**31 - 19),  # balanced semiprime: rho's hardest case
+            (2**31 - 1) ** 2,
+            2**63,
+        ],
+    )
+    def test_hard_inputs_against_sympy(self, n):
+        assert factorize(n) == sorted(sympy.factorint(n).items())
+
+    def test_rejects_above_bound(self):
+        with pytest.raises(ValueError):
+            factorize(2**63 + 1)
+
+
+class TestAgainstSympy:
+    def test_is_prime_divisors_on_range(self):
+        for n in range(-2, 5000):
+            assert is_prime(n) == sympy.isprime(n), n
+        for n in range(1, 5000):
+            assert divisors(n) == sympy.divisors(n), n
+        rng = random.Random(7)
+        for n in [rng.randrange(2**40, 2**63) | 1 for _ in range(500)]:
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_is_prime_refuses_beyond_exact_bound(self):
+        # the bound is the least strong pseudoprime to the bases 2..41,
+        # 1287836182261 * 2575672364521, which the test would call prime
+        bound = 3317044064679887385961981
+        assert is_prime(bound - 2) == sympy.isprime(bound - 2)
+        with pytest.raises(ValueError):
+            is_prime(bound)
+
+    def test_primes_up_to(self):
+        for bound in (0, 1, 2, 3, 1000, 1009, 30000):
+            assert primes_up_to(bound) == list(sympy.primerange(2, bound + 1))
+
+    def test_primitive_root_is_sympys(self):
+        # the generators fix the dlog tables, so the order of characters_mod
+        for p in sympy.primerange(3, 10**4):
+            e = 1
+            while p**e <= 10**4:
+                assert primitive_root(p, e) == sympy.primitive_root(p**e), (p, e)
+                e += 1
+
+    def test_primitive_root_rejects_even_or_composite(self):
+        for p in (2, 9):
+            with pytest.raises(ValueError):
+                primitive_root(p)
+
+    def test_sqrt_mod_prime_roots(self):
+        for p in sympy.primerange(2, 2000):
+            squares = {v * v % p for v in range(p)}
+            for d in range(p):
+                roots = _sqrt_mod_prime(d, p)
+                assert all(r * r % p == d for r in roots), (d, p)
+                assert bool(roots) == (d in squares), (d, p)
 
 
 class TestBasicFunctions:
