@@ -23,7 +23,7 @@ import math
 
 from qdelta.arch import WeightSpec
 from qdelta.expsums import (
-    brute_S, brute_S1, brute_S2, calA, calS, crt_split, lemma21_eval, sqc_value,
+    brute_S, brute_S1, brute_S2, calA, calS, crt_split, lemma21_eval, sqc_values,
 )
 from qdelta.modarith import characters_mod, smooth_part
 from qdelta.qform import CongruenceDatum, ProblemInstance, QForm
@@ -64,7 +64,7 @@ brute_v = brute_S1(inst625, v, q // v, c625).value
 whole = brute_S(inst625, q, c625).value
 print(f"N=625, q={q} = u*v*q2 = {u}*{v}*{q2}, c={c625}:  closed(u) * S1(v) = "
       f"{(closed_u * brute_v).real:+.4f}  brute_S {whole.real:+.4f}  "
-      f"sqc_value dev {abs(sqc_value(inst625, q, c625) - whole):.2e}")
+      f"sqc_values dev {abs(sqc_values(inst625, q, [c625])[0] - whole):.2e}")
 
 print()
 print("== character decomposition of the ramified factor ==")

@@ -213,6 +213,13 @@ def delta_symbol(kernel: DeltaKernel, n: int, q_max: int | None = None) -> float
 # tensor Gauss-Legendre.
 _TRAPEZOID_PER_CYCLE = 2
 _TRAPEZOID_PER_FEATURE = 1
+# tensor Gauss-Legendre rule of osc_integral: nodes per phase cycle and per
+# amplitude feature, and the ratio of its error grid's node count to its own
+_GL_PER_CYCLE = 7
+_GL_PER_FEATURE = 5
+_GL_REFINE = 1.35
+# singular_integral's first mollifier width, per unit of max(1, |m0|)
+_MOLLIFIER_EPS0 = 0.2
 
 # grid points per slab of _amplitude_grid: 512 KiB per float64 temporary.
 # Measured on the identity and osc_monitor inputs (2^14 to 2^20 and one
@@ -224,33 +231,25 @@ _SLAB_POINTS = 1 << 16
 class QuadratureSpec:
     """Node counts per axis for the two quadrature rules.
 
-    `nodes_for` is the tensor Gauss-Legendre rule of osc_integral, set by
-    nodes_per_cycle and nodes_per_feature (refine_factor sizes its error
-    grid).  `trapezoid_nodes_for` is the uniform trapezoid rule of
-    pipeline.poisson_rhs, with the fixed per-cycle and per-feature constants
-    above.  base_nodes and max_nodes bound both; singular_integral reads
-    max_nodes only."""
+    `nodes_for` is the tensor Gauss-Legendre rule of osc_integral and
+    `trapezoid_nodes_for` the uniform trapezoid rule of
+    pipeline.poisson_rhs, each with the fixed per-cycle and per-feature
+    constants above.  base_nodes and max_nodes bound both; singular_integral
+    reads max_nodes only."""
 
     base_nodes: int = 24
-    nodes_per_cycle: int = 7
-    nodes_per_feature: int = 5
     max_nodes: int = 320
-    refine_factor: float = 1.35
 
     def __post_init__(self):
-        # refine_factor <= 1 would size osc_integral's error grid at
-        # ceil(n / refine_factor) > max_nodes when n sits at the cap
         if self.base_nodes < 1 or self.max_nodes < 1:
             raise ValueError("base_nodes and max_nodes must be at least 1")
-        if not self.refine_factor > 1:
-            raise ValueError("refine_factor must exceed 1")
 
     def nodes_for(self, cycles: float, features: float = 0.0) -> int:
         """Gauss-Legendre node count resolving `cycles` phase oscillations
         plus `features` amplitude features per axis (the kernel amplitude
         varies on the scale r in its second argument, which is much finer
         than the phase for small r)."""
-        return self._rule(self.nodes_per_cycle * cycles + self.nodes_per_feature * features)
+        return self._rule(_GL_PER_CYCLE * cycles + _GL_PER_FEATURE * features)
 
     def trapezoid_nodes_for(self, cycles: float, features: float = 0.0) -> int:
         """Trapezoid node count for the same `cycles` and `features`."""
@@ -381,11 +380,11 @@ def osc_integral(
         return _contract_axes(amp, *_axis_factors(axes, wts, [[bi] for bi in b], r)).item()
 
     n = quad.nodes_for(osc_cycles(instance, r, b), 2.0 * form_range(instance) / r)
-    fine = min(quad.max_nodes, int(math.ceil(n * quad.refine_factor)) + 1)
+    fine = min(quad.max_nodes, int(math.ceil(n * _GL_REFINE)) + 1)
     if fine > n:
         n, other = fine, n
     else:
-        other = int(math.ceil(n / quad.refine_factor))
+        other = int(math.ceil(n / _GL_REFINE))
     val = value(n)
     return val, abs(val - value(other))
 
@@ -469,12 +468,12 @@ def coarea_integral(instance: ProblemInstance, nodes: int = 160) -> tuple[float,
 
 
 def singular_integral(
-    instance: ProblemInstance, quad: QuadratureSpec = QuadratureSpec(), eps0: float = 0.2
+    instance: ProblemInstance, quad: QuadratureSpec = QuadratureSpec()
 ) -> SingularIntegral:
     """Archimedean density: Gaussian mollifier with Richardson extrapolation
     over eps -> 0, cross-checked against the coarea form."""
     scale = max(1.0, abs(float(instance.m0)))
-    eps = eps0 * scale
+    eps = _MOLLIFIER_EPS0 * scale
     vals = []
     # the node count never falls as eps halves: each count's grid is built
     # once, and the last one is dropped before the next is built

@@ -17,17 +17,16 @@ O((qL)^2 + len(cs) qL)), and `_amplitude_table` for every c mod qL at once
 (one FFT).  All vectorized reductions run in a fixed order, the same for a c
 whatever list it comes in, so results are reproducible bit-for-bit.
 
-Every S_q(c) route is chosen here.  `sqc_values`, for a list of c, takes one
-route at every q: the product of its CRT factors, Lemma 2.1's closed form on
-the part of q1 prime to m0 N and definition-level sums only on the small
-parts of q that share primes with m0 N or with Omega.  `sqc_window`, for the
-Poisson assembly's dual window (a cube of c), gathers from the (qL)^3 table
-`sqc_grid` up to qL = GRID_MODULUS_BOUND and calls sqc_value per c beyond.
+S_q(c) has one route at every q: the product of its CRT factors, Lemma
+2.1's closed form on the part of q1 prime to m0 N (on int64 arrays of c)
+and definition-level sums only on the small parts of q that share primes
+with m0 N or with Omega: summed per c for a list (`sqc_values`), gathered
+from residue tables for the Poisson dual window (`sqc_window`).
+`sqc_grid`, the whole (qL)^3 table, is an oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,12 +39,12 @@ from .qform import ProblemInstance, evaluate, form_values
 _BRUTE_MODULUS_BOUND = 10**4
 _CALS_BOUND = 10**4
 _CALA_BOUND = 3000
-# Largest qL for which sqc_window gathers S_q(c) from a (qL)^3 residue table
-# (sqc_grid), and so the largest table sqc_table_peak sizes.
-GRID_MODULUS_BOUND = 200
-# bytes per residue sqc_grid holds at its peak: the real (qL)^3 amplitude,
-# its complex FFT and the conjugate (40.0 traced at qL = 100 and 200)
+# bytes per residue _amplitude_table holds at its peak: the real m^3
+# amplitude, its complex FFT and the conjugate (40.0 traced at m = 125, 128)
 _TABLE_BYTES = 8 + 16 + 16
+# bytes per point of sqc_window's factor product at its peak: Lemma 2.1's
+# class keys and np.unique's five arrays (49.0 traced at 101^3 points)
+_PRODUCT_BYTES = 8 * 6 + 1
 
 
 @dataclass(frozen=True)
@@ -54,14 +53,6 @@ class ComplexSum:
 
     value: complex
     terms: int
-
-    @property
-    def re(self) -> float:
-        return self.value.real
-
-    @property
-    def im(self) -> float:
-        return self.value.imag
 
     def __abs__(self) -> float:
         return abs(self.value)
@@ -261,38 +252,67 @@ def _S2_sums(instance: ProblemInstance, q1: int, q2: int, cs) -> list[ComplexSum
     return _amplitude_sums(instance.form, q2, L, L * q1, instance.lam_N, instance.mN, cs)
 
 
-def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
-    """Closed form for S1 via Jacobi symbol and the quadratic root sum.
-
-    Requires q1 odd, gcd(q1, m0 N) = 1 and gcd(q1, q2 Omega) = 1.  The root
-    sum runs over u = det^{-1} (q2 L^2)^{-1} v mod q1 with
-    v^2 = m0 N det F*(c) mod q1; the placement of the (q2 L^2)-inverse is
-    fixed by the brute-force oracle (substituting tau = q2 L^2 sigma in the
-    definition rescales c by that inverse).
-    """
+def _lemma21_values(instance: ProblemInstance, q1: int, q2: int, c1, c2, c3) -> np.ndarray:
+    """Lemma 2.1 (see lemma21_eval) on int64 arrays c1, c2, c3 broadcast
+    together.  Each c is reduced mod q1 first, so no int64 step exceeds
+    q1^2, and the root sum is computed once per class of m0 N det F*(c) mod
+    q1 that occurs, then gathered: memory is O(size of c), whatever q1."""
     if q1 % 2 == 0:
         raise ValueError("q1 must be odd (Jacobi symbol domain)")
     if math.gcd(q1, instance.mN) != 1:
         raise ValueError("require gcd(q1, m0*N) = 1")
     _check_split(instance, q1, q2)
-    det = instance.form.det()
-    L2 = instance.L * instance.L
-    lam = instance.lam_N
-    c = tuple(int(v) for v in c)
-    fstar = evaluate(instance.form.dual(), c)
+    shape = np.broadcast_shapes(np.shape(c1), np.shape(c2), np.shape(c3))
     if q1 == 1:
-        return ComplexSum(1 + 0j, 1)
-    inv_q2L2 = pow(q2 * L2, -1, q1)
-    inv_det = pow(det % q1, -1, q1)
-    disc = (instance.mN * det * fstar) % q1
-    roots = quadratic_roots(disc, q1)
-    root_sum = sum(
-        cmath.exp(2j * cmath.pi * ((inv_det * inv_q2L2 * v) % q1) / q1) for v in roots
-    )
-    lam_dot_c = lam[0] * c[0] + lam[1] * c[1] + lam[2] * c[2]
-    front = cmath.exp(2j * cmath.pi * ((-inv_q2L2 * lam_dot_c) % q1) / q1)
-    symbol = jacobi((-instance.mN * det) % q1, q1)
-    return ComplexSum(front * q1 * q1 * symbol * root_sum, len(roots))
+        return np.ones(shape, dtype=np.complex128)
+    det = instance.form.det()
+    inv_s = pow(q2 * instance.L * instance.L, -1, q1)
+    root_scale = pow(det % q1, -1, q1) * inv_s % q1
+    r = [np.asarray(c, dtype=np.int64) % q1 for c in (c1, c2, c3)]
+    # the class key m0 N det F*(c) mod q1, one reduced term at a time
+    coeffs = (a * instance.mN * det % q1 for a in instance.form.dual().coefficients())
+    key = np.zeros(shape, dtype=np.int64)
+    for a, (x, y) in zip(coeffs, ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+        if a:
+            key += (a * r[x] % q1) * r[y] % q1
+    key %= q1
+    classes, index = np.unique(key, return_inverse=True)
+    del key
+    front, turn = q1 * q1 * jacobi((-instance.mN * det) % q1, q1), 2.0 * np.pi / q1
+    roots = (np.array(quadratic_roots(int(d), q1)) * root_scale % q1 for d in classes)
+    out = np.array([front * np.exp(1j * (turn * k)).sum() for k in roots])[index.reshape(shape)]
+    del index
+    for lam, x in zip(instance.lam_N, r):
+        if lam % q1:
+            _mul_in_place(out, np.exp(1j * (turn * ((-inv_s * lam) % q1 * x % q1))))
+    return out
+
+
+def _mul_in_place(out: np.ndarray, z: np.ndarray) -> None:
+    """out *= z by four real products: numpy's complex multiply rounds
+    differently on different memory layouts, this the same on all."""
+    re, im = out.real, out.imag
+    re_z, im_z = re * z.imag, im * z.imag
+    re *= z.real
+    re -= im_z
+    im *= z.real
+    im += re_z
+
+
+def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
+    """Closed form for S1 via Jacobi symbol and the quadratic root sum, at one c.
+
+    Requires q1 odd, gcd(q1, m0 N) = 1 and gcd(q1, q2 Omega) = 1.  The root
+    sum runs over u = det^{-1} (q2 L^2)^{-1} v mod q1 with
+    v^2 = m0 N det F*(c) mod q1; the placement of the (q2 L^2)-inverse is
+    fixed by the brute-force oracle (substituting tau = q2 L^2 sigma in the
+    definition rescales c by that inverse).  The value is
+    `_lemma21_values` at c, so it equals that array form entry by entry.
+    """
+    c = tuple(int(v) for v in c)
+    (value,) = _lemma21_values(instance, q1, q2, *([v % q1] for v in c))
+    disc = instance.mN * instance.form.det() * evaluate(instance.form.dual(), c)
+    return ComplexSum(complex(value), len(quadratic_roots(disc % q1, q1)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,61 +419,71 @@ def calT2(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
 
 
 def sqc_grid(instance: ProblemInstance, q: int) -> np.ndarray:
-    """S_q(c) for all c mod qL as a (qL)^3 array (FFT route).
-
-    Same values as brute_S; used by the Poisson assembly where every c on a
-    truncation window is needed for each q.
-    """
+    """S_q(c) for all c mod qL as a (qL)^3 array (FFT of the whole sum):
+    brute_S's values, the oracle for sqc_window."""
     L = instance.L
     return _amplitude_table(instance.form, q, L, L, instance.lam_N, instance.mN)
+
+
+def _factors(instance: ProblemInstance, q: int) -> tuple[int, int, int]:
+    """(u, v, q2) with q = u v q2: (q1, q2) = crt_split(q), v the part of q1
+    sharing primes with m0 N and u = q1 / v, where Lemma 2.1 holds."""
+    q1, q2 = crt_split(instance, q)
+    v = smooth_part(q1, instance.mN)
+    return q1 // v, v, q2
 
 
 def sqc_values(instance: ProblemInstance, q: int, cs) -> list[complex]:
     """S_q(c) at each c in cs, from its CRT factors at every q:
 
-        S_q(c) = lemma21_eval(u, q/u, c) * S1(v, q/v, c) * S2(q1, q2, c)
+        S_q(c) = lemma21(u, q/u, c) * S1(v, q/v, c) * S2(q1, q2, c)
 
-    with (q1, q2) = crt_split(q), v the part of q1 sharing primes with m0 N
-    and u = q1 / v, where Lemma 2.1's closed form holds.  S1 at modulus v and
-    S2 at modulus q2 L are definition-level sums, each built once for the
-    whole list; a factor of modulus 1 is the constant 1 and is skipped.  A
-    value does not depend on the list it comes in."""
+    with (u, v, q2) = _factors(q): Lemma 2.1 on arrays, and definition-level
+    sums at moduli v and q2 L (up to the brute-force bound), each built once
+    for the whole list and skipped at modulus 1.  A value does not depend on
+    the list it comes in."""
     if not cs:
         return []
-    q1, q2 = crt_split(instance, q)
-    v = smooth_part(q1, instance.mN)
-    u = q1 // v
-    vals = [1 + 0j] * len(cs)
-    if u > 1:
-        vals = [lemma21_eval(instance, u, q // u, c).value for c in cs]
+    u, v, q2 = _factors(instance, q)
+    r = np.array([[int(x) % u for x in c] for c in cs], dtype=np.int64)
+    vals = [complex(a) for a in _lemma21_values(instance, u, q // u, *r.T)]
     if v > 1:
         vals = [a * s.value for a, s in zip(vals, _S1_sums(instance, v, q // v, cs))]
     if q2 * instance.L > 1:
-        vals = [a * s.value for a, s in zip(vals, _S2_sums(instance, q1, q2, cs))]
+        vals = [a * s.value for a, s in zip(vals, _S2_sums(instance, u * v, q2, cs))]
     return [complex(a) for a in vals]
 
 
-def sqc_value(instance: ProblemInstance, q: int, c) -> complex:
-    """S_q(c) at one c; see sqc_values."""
-    return sqc_values(instance, q, [c])[0]
-
-
-def sqc_table_peak(instance: ProblemInstance, q_max: int) -> tuple[int, int]:
-    """(qL, bytes) of the largest residue table sqc_window builds for
-    q = 1..q_max: the largest qL <= GRID_MODULUS_BOUND and sqc_grid's peak
-    allocation there; (0, 0) when every q is beyond the table route."""
+def sqc_table_peak(instance: ProblemInstance, q_max: int, width: int) -> tuple[int, int]:
+    """(qL, bytes) at the q = 1..q_max where sqc_window on a cube of side
+    `width` holds the most besides the returned window: _TABLE_BYTES per
+    residue of the S1(v) and S2(q2 L) tables and _PRODUCT_BYTES per point of
+    the product, on min(qL, width)^3 points; (0, 0) when q_max < 1."""
     L = instance.L
-    qL = L * min(q_max, GRID_MODULUS_BOUND // L)
-    return qL, _TABLE_BYTES * qL**3
+    peak = (0, 0)
+    for q in range(1, q_max + 1):
+        _, v, q2 = _factors(instance, q)
+        tables = sum(m**3 for m in (v, q2 * L) if m > 1)
+        need = _TABLE_BYTES * tables + _PRODUCT_BYTES * min(q * L, width) ** 3
+        peak = max(peak, (q * L, need), key=lambda size: size[1])
+    return peak
 
 
 def sqc_window(instance: ProblemInstance, q: int, cvals) -> np.ndarray:
-    """S_q(c) for every c in the cube cvals^3, as a new 3-D array indexed
-    like the cube: up to qL = GRID_MODULUS_BOUND a gather from the residue
-    table sqc_grid, beyond it sqc_value at each c in C order."""
-    qL = q * instance.L
-    if qL <= GRID_MODULUS_BOUND:
-        r = np.asarray(cvals) % qL
-        return sqc_grid(instance, q)[np.ix_(r, r, r)]
-    cube = (sqc_value(instance, q, (c1, c2, c3)) for c1 in cvals for c2 in cvals for c3 in cvals)
-    return np.fromiter(cube, np.complex128, len(cvals) ** 3).reshape((len(cvals),) * 3)
+    """S_q(c) for every c in the cube cvals^3, indexed like the cube: the
+    factor product of sqc_values with S1(v) and S2 gathered from their
+    residue tables, on arange(qL)^3 and gathered once when qL < len(cvals),
+    else on cvals^3."""
+    cvals = np.asarray(cvals, dtype=np.int64)
+    L = instance.L
+    axis = np.arange(q * L, dtype=np.int64) if q * L < len(cvals) else cvals
+    u, v, q2 = _factors(instance, q)
+    out = _lemma21_values(instance, u, q // u, *np.ix_(axis, axis, axis))
+    if v > 1:
+        r = axis % v
+        out *= brute_S1_grid(instance, v, q // v)[np.ix_(r, r, r)]
+    if q2 * L > 1:
+        r = axis % (q2 * L)
+        s2 = _amplitude_table(instance.form, q2, L, L * u * v, instance.lam_N, instance.mN)
+        out *= s2[np.ix_(r, r, r)]
+    return out if axis is cvals else out[np.ix_(*[cvals % (q * L)] * 3)]

@@ -13,14 +13,14 @@ The expansion evaluates, term by term over (q, c),
     (sqrt(N)/L) * S_q(c) * e_{qL^2}(c.lam_N) * I_{q/Q}(w; c/L) / (qL)^3,
 
 on the dual window, the cube |c|_inf <= c_max held as one (2 c_max + 1)^3
-array, with S_q(c) from expsums.sqc_window (which picks the route by qL) and
+array, with S_q(c) from expsums.sqc_window (its CRT factor product) and
 the oscillatory integral from arch on a per-q amplitude grid shared by all
 c: the uniform trapezoid rule (arch._trapezoid_box, with
 QuadratureSpec.trapezoid_nodes_for per q); node counts never rise with q, so
 one buffer sized at q = 1 holds every q's amplitude.  Before anything is
 allocated, a memory preflight rejects (ValueError) an expansion whose
 largest amplitude, contraction intermediate, window and S_q(c) residue
-table exceed _MEMORY_BUDGET.  Per q the window of e_{qL^2}(c.lam_N) I(c) is
+tables exceed _MEMORY_BUDGET.  Per q the window of e_{qL^2}(c.lam_N) I(c) is
 one separable contraction of the real amplitude with three axis-factor
 matrices (a real GEMM, then two complex matmuls) over the half window
 c1 >= 0; the other half is its complex conjugate.  Two masks split the cube into exceptional
@@ -293,8 +293,8 @@ def expansion_plan(
     The preflight counts, in float64 values, the largest amplitude grid
     (n^3) and the contraction intermediate (2 (c_max + 1) n^2), plus
     _WINDOW_BYTES per point of the (2 c_max + 1)^3 window and the largest
-    S_q(c) residue table (expsums.sqc_table_peak), and raises ValueError
-    above _MEMORY_BUDGET: nothing is clamped to fit."""
+    S_q(c) factor tables and product (expsums.sqc_table_peak), and raises
+    ValueError above _MEMORY_BUDGET: nothing is clamped to fit."""
     if kernel is None:
         kernel = default_kernel(instance)
     if q_max is None:
@@ -310,7 +310,7 @@ def expansion_plan(
         cycles = 2.0 * instance.weight.radius * c_max / (instance.L * rp)
         nodes.append(quad.trapezoid_nodes_for(cycles, 2.0 * yscale * fr / rk))
     n = max(nodes, default=0)
-    table_qL, table_bytes = sqc_table_peak(instance, q_max)
+    table_qL, table_bytes = sqc_table_peak(instance, q_max, 2 * c_max + 1)
     need = (
         8 * (n**3 + 2 * (c_max + 1) * n * n)
         + _WINDOW_BYTES * (2 * c_max + 1) ** 3

@@ -370,9 +370,8 @@ class TestGaussLegendreRule:
 class TestQuadratureSpec:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"base_nodes": 0}, {"max_nodes": 0}, {"max_nodes": -5},
-         {"refine_factor": 1.0}, {"refine_factor": 0.5}],
-        ids=["base_0", "max_0", "max_neg", "refine_1", "refine_half"],
+        [{"base_nodes": 0}, {"max_nodes": 0}, {"max_nodes": -5}],
+        ids=["base_0", "max_0", "max_neg"],
     )
     def test_rejects_impossible_values(self, kwargs):
         with pytest.raises(ValueError):

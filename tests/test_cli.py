@@ -13,7 +13,7 @@ import pytest
 
 from qdelta import cli, localdens
 from qdelta.cli import ConfigError, build_instance, config_sha256, main, parse_config
-from qdelta.expsums import sqc_value
+from qdelta.expsums import sqc_values
 from qdelta.modarith import primes_up_to
 
 HYP_CFG = """\
@@ -125,7 +125,7 @@ class TestSubcommands:
 
     def test_expsum_rows_match_one_c_values(self, cfg_file, tmp_path):
         # qdelta expsum computes each q's values as one batch; every value
-        # must equal sqc_value called for that c alone, on both routes
+        # must equal sqc_values called for that c alone
         cfg = cfg_file.read_text().replace("h = 1", "h = 2")
         cfg += "q_range = 198:206\nc_list = 1,2,0; 0,0,0; -3,1,4\n"
         p = tmp_path / "e.cfg"
@@ -137,7 +137,7 @@ class TestSubcommands:
         inst = build_instance(parse_config(str(p)))
         for r in rows:
             q, c = int(r["q"]), (int(r["c1"]), int(r["c2"]), int(r["c3"]))
-            val = sqc_value(inst, q, c)
+            (val,) = sqc_values(inst, q, [c])
             assert (r["re"], r["im"]) == (repr(val.real), repr(val.imag)), (q, c)
 
     def test_density_csv_schema(self, cfg_file, tmp_path):

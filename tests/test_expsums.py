@@ -5,16 +5,18 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy
 
 from qdelta.expsums import (
-    GRID_MODULUS_BOUND,
     ComplexSum,
+    _S_sums,
     _amplitude_rows,
     _exp_table,
+    _lemma21_values,
     _sum_masked_phase,
     brute_S,
     brute_S1,
@@ -28,7 +30,6 @@ from qdelta.expsums import (
     lemma21_eval,
     sqc_grid,
     sqc_table_peak,
-    sqc_value,
     sqc_values,
     sqc_window,
 )
@@ -162,9 +163,10 @@ class TestGrids:
 
 
 class TestClosedFormRoute:
-    """sqc_value beyond the grid bound against the definition-level sum,
-    with q1 wholly in closed form and with a part of q1 (here 5 = p0) that
-    S1 takes by its definition."""
+    """sqc_values, one c at a time, at qL > 200, where a whole (qL)^3
+    residue table passes 8e6 entries, against the definition-level sum, with
+    q1 wholly in closed form and with a part of q1 (here 5 = p0) that S1
+    takes by its definition."""
 
     @pytest.mark.parametrize(
         "h, L, lam, q, closed_s1",
@@ -177,12 +179,13 @@ class TestClosedFormRoute:
     )
     def test_matches_brute_beyond_grid_bound(self, h, L, lam, q, closed_s1):
         inst = make_instance(h=h, L=L, lam=lam)
-        assert q * L > GRID_MODULUS_BOUND
+        assert q * L > 200
         q1, _ = crt_split(inst, q)
         assert (q1 % 2 == 1 and math.gcd(q1, inst.mN) == 1) == closed_s1
         for c in ((0, 0, 0), (1, -2, 3), (4, 1, -1)):
             want = brute_S(inst, q, c).value
-            assert abs(sqc_value(inst, q, c) - want) <= 1e-9 * max(1.0, abs(want)), c
+            (got,) = sqc_values(inst, q, [c])
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), c
 
 
 # instances for the factor coverage below: Omega = 2 L det(F), and m0 N
@@ -193,60 +196,68 @@ HYP_M03 = dict(m0=3)                                     # m0 N = 3 * 5^2
 CROSS = dict(coeffs=(2, 3, 1, 2, 0, 2), p0=7)            # det 3: Omega = 6, m0 N = 7^2
 
 
+# (instance, q, u, v, q2) with (q1, q2) = crt_split(q), v the part of q1
+# sharing primes with m0 N and u = q1 / v: each of u, v, q2 takes the value 1
+# and a value > 1
+FACTOR_CASES = pytest.mark.parametrize(
+    "kw, q, u, v, q2",
+    [
+        (HYP625, 1, 1, 1, 1),
+        (HYP625, 3, 3, 1, 1),
+        (HYP625, 5, 1, 5, 1),
+        (HYP625, 8, 1, 1, 8),
+        (HYP625, 30, 3, 5, 2),      # all three factors > 1
+        (HYP625, 175, 7, 25, 1),
+        (CONG, 1, 1, 1, 1),         # S2 alone, at modulus L = 2
+        (CONG, 30, 3, 5, 2),
+        (CONG, 100, 1, 25, 4),      # qL = 200
+        (HYP_M03, 21, 7, 3, 1),     # v from m0, not p0
+        (HYP_M03, 30, 1, 15, 2),
+        (CROSS, 15, 5, 1, 3),       # q2 = 3 | det: more than the 2-part
+        (CROSS, 105, 5, 7, 3),
+    ],
+    ids=["hyp625-1", "hyp625-3", "hyp625-5", "hyp625-8", "hyp625-30", "hyp625-175",
+         "cong-1", "cong-30", "cong-100", "m03-21", "m03-30", "cross-15", "cross-105"],
+)
+
+
+def _check_factors(inst, q, u, v, q2):
+    q1, split_q2 = crt_split(inst, q)
+    ramified = smooth_part(q1, inst.mN)
+    assert (q1 // ramified, ramified, split_q2) == (u, v, q2)
+
+
 class TestFactoredRoute:
-    """sqc_values against the definition-level sum at qL <= GRID_MODULUS_BOUND,
-    the range sqc_values no longer sums whole.  Its route is
-    S_q(c) = lemma21_eval(u, q/u) * S1(v, q/v) * S2(q1, q2) with
-    (q1, q2) = crt_split(q), v the part of q1 sharing primes with m0 N and
-    u = q1 / v; the cases give each of u, v, q2 the value 1 and a value > 1."""
+    """sqc_values against the definition-level sum.  Its route is
+    S_q(c) = lemma21(u, q/u) * S1(v, q/v) * S2(q1, q2)."""
 
     CS = ((0, 0, 0), (1, -2, 3), (4, 1, -1), (2, 2, 1))
 
-    @pytest.mark.parametrize(
-        "kw, q, u, v, q2",
-        [
-            (HYP625, 1, 1, 1, 1),
-            (HYP625, 3, 3, 1, 1),
-            (HYP625, 5, 1, 5, 1),
-            (HYP625, 8, 1, 1, 8),
-            (HYP625, 30, 3, 5, 2),      # all three factors > 1
-            (HYP625, 175, 7, 25, 1),
-            (CONG, 1, 1, 1, 1),         # S2 alone, at modulus L = 2
-            (CONG, 30, 3, 5, 2),
-            (CONG, 100, 1, 25, 4),      # qL = GRID_MODULUS_BOUND
-            (HYP_M03, 21, 7, 3, 1),     # v from m0, not p0
-            (HYP_M03, 30, 1, 15, 2),
-            (CROSS, 15, 5, 1, 3),       # q2 = 3 | det: more than the 2-part
-            (CROSS, 105, 5, 7, 3),
-        ],
-        ids=["hyp625-1", "hyp625-3", "hyp625-5", "hyp625-8", "hyp625-30", "hyp625-175",
-             "cong-1", "cong-30", "cong-100", "m03-21", "m03-30", "cross-15", "cross-105"],
-    )
+    @FACTOR_CASES
     def test_matches_brute(self, kw, q, u, v, q2):
         inst = make_instance(**kw)
-        assert q * inst.L <= GRID_MODULUS_BOUND
-        q1, split_q2 = crt_split(inst, q)
-        ramified = smooth_part(q1, inst.mN)
-        assert (q1 // ramified, ramified, split_q2) == (u, v, q2)
+        _check_factors(inst, q, u, v, q2)
         for c, got in zip(self.CS, sqc_values(inst, q, self.CS), strict=True):
             want = brute_S(inst, q, c).value
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), c
 
 
 class TestWindow:
-    """sqc_window on the cube arange(-3, 4)^3 against S_q(c) per c.  Beyond
-    the grid bound it is sqc_value itself, so `==`.  Up to the bound it is a
-    gather from the FFT table: `==` to that table entry by entry, and within
-    rounding of sqc_values (the whole FFT against the factored sums)."""
+    """sqc_window on the cube arange(-3, 4)^3: within rounding of sqc_values
+    on every c (the same factor product, with S1(v) and S2 gathered from
+    their residue tables rather than summed per c), and of the
+    definition-level sum on a sample of c."""
+
+    SAMPLE = ((-3, -3, -3), (-2, 2, 3), (0, 0, 0), (3, 1, -1))
 
     @pytest.mark.parametrize(
         "h, L, lam, q",
         [
-            (1, 1, (0, 0, 0), 1),      # qL = 1: the window wraps the table
+            (1, 1, (0, 0, 0), 1),      # qL = 1: the window wraps the residue cube
             (1, 2, (1, 0, 0), 1),      # qL = 2
-            (2, 1, (0, 0, 0), 200),    # qL = GRID_MODULUS_BOUND
+            (2, 1, (0, 0, 0), 200),    # qL = 200: u = 1, v = 25, q2 = 8
             (1, 2, (1, 0, 0), 100),    # qL = 200
-            (2, 1, (0, 0, 0), 201),    # N = 625, qL = 201
+            (2, 1, (0, 0, 0), 201),    # N = 625, qL = 201: u = 201
             (1, 2, (1, 0, 0), 101),    # L = 2, qL = 202
         ],
     )
@@ -257,18 +268,22 @@ class TestWindow:
         got = sqc_window(inst, q, cvals)
         assert got.shape == (7, 7, 7)
         want = np.array(sqc_values(inst, q, cube)).reshape(got.shape)
-        qL = q * L
-        if qL > GRID_MODULUS_BOUND:
-            assert np.array_equal(got, want)
-            assert got[1, 5, 6] == sqc_value(inst, q, (-2, 2, 3))
-            return
-        table = sqc_grid(inst, q)
-        gathered = np.array([table[tuple(v % qL for v in c)] for c in cube])
-        assert np.array_equal(got, gathered.reshape(got.shape))
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        for c, s in zip(self.SAMPLE, _S_sums(inst, q, self.SAMPLE), strict=True):
+            assert abs(got[tuple(v + 3 for v in c)] - s.value) <= 1e-9 * max(1.0, abs(s.value)), c
+
+    # (L, q_max, width) -> (qL, bytes) by hand: 40 bytes per residue of the
+    # factor tables (modulus v and q2 L) plus 49 per point of the product on
+    # min(qL, width)^3 points, at the q where the sum peaks
+    PEAKS = {
+        (1, 12, 12): (12, 40 * 4**3 + 49 * 12**3),                  # q = 12: q2 = 4
+        (1, 203, 200): (200, 40 * (25**3 + 8**3) + 49 * 200**3),    # q = 200: v = 25, q2 = 8
+        (2, 99, 198): (198, 40 * 2**3 + 49 * 198**3),               # q = 99: q2 L = 2
+        (2, 150, 200): (256, 40 * 256**3 + 49 * 200**3),            # q = 128: q2 L = 256
+    }
 
     @pytest.mark.parametrize(
-        "L, lam, q_max, qL",
+        "L, lam, q_max, width",
         [
             (1, (0, 0, 0), 12, 12),
             (1, (0, 0, 0), 203, 200),
@@ -276,10 +291,103 @@ class TestWindow:
             (2, (1, 0, 0), 150, 200),
         ],
     )
-    def test_table_peak(self, L, lam, q_max, qL):
-        # the largest qL <= GRID_MODULUS_BOUND among q = 1..q_max, at 40
-        # bytes per residue (sqc_grid's traced peak)
-        assert sqc_table_peak(make_instance(L=L, lam=lam), q_max) == (qL, 40 * qL**3)
+    def test_table_peak(self, L, lam, q_max, width):
+        inst = make_instance(L=L, lam=lam)
+        assert sqc_table_peak(inst, q_max, width) == self.PEAKS[L, q_max, width]
+        assert sqc_table_peak(inst, 0, width) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "kw, q, width",
+        [(HYP625, 25, 41), (HYP625, 45, 41), (CONG, 24, 41), (HYP_M03, 42, 41)],
+        ids=["residue-cube", "window-cube-v", "window-cube-L2", "window-cube-uvq2"],
+    )
+    def test_table_peak_bounds_traced(self, kw, q, width):
+        # at a q where the sized bytes peak, sqc_window's traced peak, less
+        # the returned window, stays within them plus numpy's fixed buffers
+        inst = make_instance(**kw)
+        qL, sized = sqc_table_peak(inst, q, width)
+        assert qL == q * inst.L
+        cvals = np.arange(-(width // 2), width // 2 + 1)
+        sqc_window(inst, q, cvals)  # warm the per-modulus caches
+        tracemalloc.start()
+        try:
+            out = sqc_window(inst, q, cvals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - (out.nbytes if qL < width else 0) <= sized + 2**18
+
+
+class TestWindowRoute:
+    """sqc_window against the definition-level sum, on a cube wider than qL
+    (the product on the residue cube, gathered once) where qL <= 60, and on
+    narrower cubes (the product on the window itself).  The oracle is the
+    whole table sqc_grid up to qL = 60; beyond, sqc_values on the whole cube
+    and brute_S on c where that is nonzero and on one where it vanishes; most S_q(c) vanish at
+    L = 2, so the cubes include one of even c only, and each test requires
+    a nonzero value among those it checks."""
+
+    @staticmethod
+    def _check(inst, q, cvals) -> int:
+        """Compare one cube; returns how many nonzero values it checked."""
+        got = sqc_window(inst, q, cvals)
+        qL = q * inst.L
+        if qL <= 60:
+            r = cvals % qL
+            want = sqc_grid(inst, q)[np.ix_(r, r, r)]
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+            return int(np.count_nonzero(np.abs(want) > 1e-6))
+        cube = list(itertools.product(cvals.tolist(), repeat=3))
+        per_c = np.array(sqc_values(inst, q, cube)).reshape(got.shape)
+        assert np.all(np.abs(got - per_c) <= 1e-9 * np.maximum(1.0, np.abs(per_c)))
+        nonzero = np.argwhere(np.abs(per_c) > 1e-6)
+        sample = [tuple(i) for i in nonzero[:: max(1, len(nonzero) // 4)][:4]]
+        sample += [tuple(i) for i in np.argwhere(np.abs(per_c) <= 1e-6)[:1]]
+        cs = [tuple(int(cvals[i]) for i in idx) for idx in sample]
+        checked = 0
+        for idx, c, s in zip(sample, cs, _S_sums(inst, q, cs), strict=True):
+            assert abs(got[idx] - s.value) <= 1e-9 * max(1.0, abs(s.value)), c
+            checked += abs(s.value) > 1e-6
+        return checked
+
+    CUBES = (np.arange(-4, 5), np.arange(-10, 11, 2))
+
+    @FACTOR_CASES
+    def test_matches_brute(self, kw, q, u, v, q2):
+        inst = make_instance(**kw)
+        _check_factors(inst, q, u, v, q2)
+        qL = q * inst.L
+        cubes = list(self.CUBES)
+        if qL <= 60:
+            cubes.append(np.arange(-(qL // 2) - 3, qL // 2 + 4))
+            assert len(cubes[-1]) > qL
+        assert sum(self._check(inst, q, cvals) for cvals in cubes) > 0
+
+    @pytest.mark.parametrize(
+        "kw, q, u, v, q2",
+        [
+            (HYP625, 205, 41, 5, 1),    # L = 1, qL = 205
+            (CONG, 105, 21, 5, 1),      # L = 2, qL = 210
+            (HYP_M03, 210, 7, 15, 2),   # m0 = 3
+            (CROSS, 210, 5, 7, 6),      # the cross form, q2 = 6
+        ],
+        ids=["hyp625-205", "cong-105", "m03-210", "cross-210"],
+    )
+    def test_matches_brute_beyond_qL_200(self, kw, q, u, v, q2):
+        inst = make_instance(**kw)
+        _check_factors(inst, q, u, v, q2)
+        assert q * inst.L > 200
+        assert sum(self._check(inst, q, cvals) for cvals in self.CUBES) > 0
+
+    @FACTOR_CASES
+    def test_lemma21_array_equals_one_c(self, kw, q, u, v, q2):
+        # the array form, evaluated on a cube, is the one-c call entry by entry
+        inst = make_instance(**kw)
+        cvals = np.arange(-2, 3)
+        got = _lemma21_values(inst, u, q // u, *np.ix_(cvals, cvals, cvals))
+        for c in itertools.product(range(5), repeat=3):
+            want = lemma21_eval(inst, u, q // u, [int(cvals[i]) for i in c]).value
+            assert got[c] == want, c
 
 
 def _amplitude_sum(form, q: int, L: int, scale: int, lam, target: int, c) -> ComplexSum:
@@ -310,7 +418,7 @@ class TestBatchedSums:
         "h, L, lam, q",
         [
             (2, 1, (0, 0, 0), 6),
-            (2, 1, (0, 0, 0), 200),    # qL = GRID_MODULUS_BOUND: u = 1, v = 25, q2 = 8
+            (2, 1, (0, 0, 0), 200),    # qL = 200: u = 1, v = 25, q2 = 8
             (2, 1, (0, 0, 0), 201),    # S1 wholly in closed form
             (2, 1, (0, 0, 0), 205),    # u = 41, v = 5
             (1, 2, (1, 0, 0), 3),
@@ -330,7 +438,7 @@ class TestBatchedSums:
             s2 = _amplitude_sum(form, q2, L, L * q1, lam_N, mN, c)
             assert brute_S1(inst, q1, q2, c) == s1, c
             assert brute_S2(inst, q1, q2, c) == s2, c
-            if q * L <= GRID_MODULUS_BOUND:
+            if q * L <= 200:  # the whole sum costs (qL)^3 per c
                 whole = _amplitude_sum(form, q, L, L, lam_N, mN, c)
                 assert brute_S(inst, q, c) == whole, c
             # sqc_values' route: closed form on u, S1 by definition on v, S2

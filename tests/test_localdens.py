@@ -20,7 +20,6 @@ from qdelta.localdens import (
     sigma_p,
     sigma_p0_cone,
     singular_series,
-    upsilon,
 )
 from qdelta.modarith import primes_up_to
 from qdelta.qform import QForm
@@ -196,10 +195,6 @@ class TestSingularSeries:
         s = singular_series(inst, p_max=100)
         assert s.value == 0.0
         assert s.obstructed_at == 2
-
-    def test_upsilon(self):
-        assert upsilon(2.0, 1) == 1.0
-        assert abs(upsilon(2.0, 12) - 1 / ((1 - 0.25) * (1 - 1 / 9))) < 1e-12
 
 
 class TestLValue:

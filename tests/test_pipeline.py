@@ -213,20 +213,22 @@ class TestExpansionBookkeeping:
             poisson_rhs(inst, q_max=1, c_max=30)
 
     def test_preflight_counts_residue_table(self, monkeypatch):
-        # hyperboloid h = 3 up to q = 203 at c_max = 1, 24 nodes: amplitude,
-        # contraction and window take under 1 MiB, while the q = 200 residue
-        # table peaks at 40 * 200^3 bytes = 320 MB.  A 128 MiB budget passes
-        # the former alone and must refuse the sum before any allocation
+        # hyperboloid h = 3 up to q = 256 at c_max = 1, 24 nodes: amplitude,
+        # contraction and window take under 1 MiB, while the S2 factor table
+        # of modulus q2 = 256 peaks at 40 * 256^3 bytes = 671 MB.  A 128 MiB
+        # budget passes the former alone and must refuse the sum before any
+        # allocation; up to q = 203 the largest table (q2 = 128) fits
         inst = make_instance(h=3)
         quad = QuadratureSpec(max_nodes=24)
-        n = max(pipeline.expansion_plan(inst, q_max=203, c_max=1, quad=quad)[3])
+        n = max(pipeline.expansion_plan(inst, q_max=256, c_max=1, quad=quad)[3])
         assert 8 * (n**3 + 4 * n * n) + pipeline._WINDOW_BYTES * 27 < 2**20
-        assert sqc_table_peak(inst, 203) == (200, 40 * 200**3)
+        assert sqc_table_peak(inst, 256, 3) == (256, 40 * 256**3 + 49 * 27)
+        assert sqc_table_peak(inst, 203, 3)[1] < 2**27 - 2**20
         monkeypatch.setattr(pipeline, "_MEMORY_BUDGET", 2**27)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="residue table at qL = 200"):
-                poisson_rhs(inst, q_max=203, c_max=1, quad=quad)
+            with pytest.raises(ValueError, match="residue table at qL = 256"):
+                poisson_rhs(inst, q_max=256, c_max=1, quad=quad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
