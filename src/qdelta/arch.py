@@ -13,8 +13,9 @@ Gauss-Legendre reference rule on [-1, 1] is computed once per node count and
 cached in-process; each grid maps it onto its own interval.
 
 The kernel h(x, y) = sum_{j>=1} (xj)^{-1} [omega(xj) - omega(|y|/(xj))] is
-built from a bump omega supported on [1/2, 1].  Two exact facts drive the
-implementation and its tests:
+built from a bump omega supported on [1/2, 1], so a point pays only for the
+j of its own window |y|/x < j < 2|y|/x on top of one y-free sum per call.
+Two exact facts drive the implementation and its tests:
 
 * at n = 0 the normalized q-sum collapses to (1/Q) sum_m omega(m/Q), so
   normalizing omega to unit mass makes the drift from 1 exponentially small;
@@ -41,6 +42,14 @@ from .qform import ProblemInstance, form_values
 _TEMPERING_DEFAULT = 0.4
 _SKEW_DEFAULT = -0.25
 _MASS_MAX_NODES = 1 << 20
+# DeltaKernel.h_many takes finished points out of its working set only while
+# at least this many stay.  Smaller arrays, of a new size on every pass, stay
+# in numpy's small-block cache and fragment the heap: the osc_monitor
+# benchmark's peak RSS rose from 47 to 53 MB when the set shrank to any size
+_WALK_MIN_POINTS = 1024
+# h_many's bound on |y|/x: past it j = floor(|y|/x) + 1 is no longer exact,
+# and the window would hold about 2^52 terms
+_WALK_MAX_T = 2.0**52
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +57,13 @@ _MASS_MAX_NODES = 1 << 20
 # ---------------------------------------------------------------------------
 
 
-def _bump_profile(u: np.ndarray) -> np.ndarray:
-    """exp(1 - 1/(1-u^2)) for |u| < 1, zero outside; peak value 1 at u = 0."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+def _bump_profile(u2: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/(1-u^2)) for u^2 < 1, zero outside, on the squared argument
+    u2 = u^2 (the ball's squared radius needs no square root); peak value 1
+    at u = 0."""
+    out = np.zeros_like(u2)
+    inside = u2 < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
     return out
 
 
@@ -86,8 +95,8 @@ class WeightSpec:
         d1, d2, d3 = ((np.asarray(x, dtype=np.float64) - c) / self.radius
                       for x, c in zip((x1, x2, x3), self.center))
         if self.profile == "ball":
-            return _bump_profile(np.sqrt(d1 * d1 + d2 * d2 + d3 * d3))
-        return _bump_profile(d1) * _bump_profile(d2) * _bump_profile(d3)
+            return _bump_profile(d1 * d1 + d2 * d2 + d3 * d3)
+        return _bump_profile(d1 * d1) * _bump_profile(d2 * d2) * _bump_profile(d3 * d3)
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
@@ -99,19 +108,32 @@ class WeightSpec:
 # ---------------------------------------------------------------------------
 
 
-def _omega_raw(t: np.ndarray, s: float, skew: float) -> np.ndarray:
-    """Unnormalized tempered bump on (1/2, 1).
+def _omega_core(u: np.ndarray, s: float, skew: float) -> np.ndarray:
+    """Unnormalized tempered bump at points u that all lie in (1/2, 1).
 
     The linear skew factor breaks the reflection symmetry about 3/4; a
     symmetric bump makes the Q = 5 and Q = 10 lattice sums coincide exactly
     (the grids are nested and reflection-paired), which would freeze the
     delta-identity drift instead of letting it shrink with Q.
     """
+    a = u - 0.5
+    b = 1.0 - u
+    a *= b
+    np.divide(-s, a, out=a)
+    np.exp(a, out=a)
+    np.subtract(u, 0.75, out=b)
+    b *= skew
+    b += 1.0
+    a *= b
+    return a
+
+
+def _omega_raw(t: np.ndarray, s: float, skew: float) -> np.ndarray:
+    """Unnormalized tempered bump on (1/2, 1), zero outside."""
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros_like(t)
     inside = (t > 0.5) & (t < 1.0)
-    ti = t[inside]
-    out[inside] = np.exp(-s / ((ti - 0.5) * (1.0 - ti))) * (1.0 + skew * (ti - 0.75))
+    out[inside] = _omega_core(t[inside], s, skew)
     return out
 
 
@@ -161,25 +183,79 @@ class DeltaKernel:
         return float(self.h_many(x, np.asarray([y]))[0])
 
     def h_many(self, x: float, y: np.ndarray) -> np.ndarray:
-        """h(x, y) over an array of y values at fixed x > 0.
+        """h(x, y) over an array of finite y values at fixed x > 0.
 
-        Terms vanish once xj > 1 (first part) and xj > 2|y| (second part),
-        so the j-sum is finite.
+        h(x, y) = C(x) - sum_j omega(t/j)/(xj) with t = |y|/x: the y-free
+        part C(x) = sum_j omega(xj)/(xj) is one scalar, and omega(t/j) is
+        nonzero only in each point's window t < j < 2t.  The walk starts
+        every point at j = floor(t) + 1 and stops adding to it once
+        j >= 2t, so each value depends only on its own y.  The work is
+        about sum t over the points: finished points leave the working set
+        once at least half of it has finished, while _WALK_MIN_POINTS stay.
         """
         if x <= 0:
             raise ValueError("h requires x > 0")
         y = np.asarray(y, dtype=np.float64)
-        ay = np.abs(y)
-        jmax = int(math.ceil(max(1.0, 2.0 * float(ay.max(initial=0.0))) / x)) + 1
-        out = np.zeros_like(ay)
-        for j in range(1, jmax + 1):
-            xj = x * j
-            first = float(self.omega(np.asarray([xj]))[0])
-            out += (first - self.omega(ay / xj)) / xj
-        return out
+        s, skew = self.tempering, self.skew
+        # a bump value below the smallest subnormal is 0, not an error
+        with np.errstate(under="ignore"):
+            t = np.abs(y.ravel())
+            t /= x
+            t_max = float(t.max(initial=0.0))
+            if not math.isfinite(t_max):
+                raise ValueError("h requires finite y (and a finite |y|/x)")
+            if t_max >= _WALK_MAX_T:
+                raise ValueError(f"h requires |y|/x < 2^52, got {t_max:.3g}")
+            out = np.full(t.shape, self._y_free_part(x))
+            norm = x * _omega_mass(s, skew)
+            # j and 2t are exact, and a quotient t/j by an integer j rounds
+            # to 1/2 or 1 only where it equals them: every u = t/j evaluated
+            # below, with t < j < 2t, lies in (1/2, 1) after rounding too
+            idx = np.flatnonzero(t > 0.5)
+            t = t[idx]
+            j = np.floor(t)
+            j += 1.0
+            t2 = t + t
+            live = j < t2
+            if not live.all():  # t = 1: the window 1 < j < 2 is empty
+                idx, t, j, t2 = idx[live], t[live], j[live], t2[live]
+            # acc[i] = sum over point idx[i]'s window of omega_raw(t/j)/j;
+            # the first term is every point's, and few have many more
+            acc = _omega_core(t / j, s, skew)
+            acc /= j
+            j += 1.0
+            pos = np.arange(t.size)  # the working set, as positions in acc
+            live = j < t2
+            while k := np.count_nonzero(live):
+                if k >= _WALK_MIN_POINTS and 2 * k <= live.size:
+                    pos, t, j, t2 = pos[live], t[live], j[live], t2[live]
+                    live = j < t2
+                # finished points stay at u = 3/4, and their term is dropped
+                u = np.divide(t, j, out=np.full_like(t, 0.75), where=live)
+                term = _omega_core(u, s, skew)
+                term /= j
+                term *= live
+                acc[pos] += term
+                j += 1.0
+                live = j < t2
+            acc /= norm
+            out[idx] -= acc
+        return out.reshape(y.shape)
+
+    def _y_free_part(self, x: float) -> float:
+        """C(x) = sum_j omega(xj)/(xj) over the j with 1/2 < xj < 1: the
+        part of h(x, y) that does not depend on y."""
+        xj = [x * j for j in range(max(1, int(0.5 / x)), int(1.0 / x) + 2) if 0.5 < x * j < 1.0]
+        if not xj:
+            return 0.0
+        xj = np.array(xj)
+        mass = _omega_mass(self.tempering, self.skew)
+        return float(np.sum(_omega_core(xj, self.tempering, self.skew) / xj)) / mass
 
     def support_bound(self, y_max: float) -> float:
-        """h(x, y) = 0 for all |y| <= y_max once x exceeds this bound."""
+        """h(x, y) = 0 for all |y| <= y_max once x exceeds this bound: then
+        xj > 1 for every j >= 1, and each point's window |y|/x < j < 2|y|/x
+        holds no integer."""
         return max(1.0, 2.0 * abs(y_max))
 
 
@@ -315,10 +391,12 @@ def _amplitude_grid(
     _SLAB_POINTS points, and one row split along x2 when it is wider (a slab
     is never narrower than one x3 line), so every temporary of w, F - m0 and
     h_many is slab-sized.  The values are bit-identical to one evaluation
-    over the whole grid: h_many's terms past a slab's own j-range are
-    (omega(xj) - omega(|y|/xj))/xj = (0 - 0)/xj = +0.0.  The amplitude is
-    written into `out` when given (a contiguous float64 array with at least
-    n0 n1 n2 entries; its leading ones are used)."""
+    over the whole grid, because each value depends on its own point alone:
+    w and F are pointwise, and h_many gives a point the scalar C(r) less
+    its own window's terms, summed in j order whichever other points share
+    the call.  The amplitude is written into `out` when given (a contiguous
+    float64 array with at least n0 n1 n2 entries; its leading ones are
+    used)."""
     axes, wts = box(instance.weight, nodes)
     n0, n1, n2 = nodes
     amp = np.empty(nodes) if out is None else out.reshape(-1)[: n0 * n1 * n2].reshape(nodes)

@@ -50,6 +50,41 @@ def delta_symbol_literal(kernel: DeltaKernel, n: int, q_max: int) -> float:
     return total / Q**2
 
 
+def h_many_loop(kernel: DeltaKernel, x: float, y: np.ndarray) -> np.ndarray:
+    """h(x, y) summed over every j up to the array's whole j-range, each pass
+    over every point: the oracle for DeltaKernel.h_many's window walk."""
+    if x <= 0:
+        raise ValueError("h requires x > 0")
+    y = np.asarray(y, dtype=np.float64)
+    ay = np.abs(y)
+    jmax = int(math.ceil(max(1.0, 2.0 * float(ay.max(initial=0.0))) / x)) + 1
+    out = np.zeros_like(ay)
+    for j in range(1, jmax + 1):
+        xj = x * j
+        first = float(kernel.omega(np.asarray([xj]))[0])
+        out += (first - kernel.omega(ay / xj)) / xj
+    return out
+
+
+def _bump_1d(u: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/(1-u^2)) for |u| < 1, zero outside, on u itself."""
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+    return out
+
+
+def weight_values_sqrt(weight: WeightSpec, x1, x2, x3) -> np.ndarray:
+    """WeightSpec.values through the radius |d| and the 1-D bump on it: the
+    oracle for the weight computed from the squared radius."""
+    d1, d2, d3 = ((np.asarray(x, dtype=np.float64) - c) / weight.radius
+                  for x, c in zip((x1, x2, x3), weight.center))
+    if weight.profile == "ball":
+        return _bump_1d(np.sqrt(d1 * d1 + d2 * d2 + d3 * d3))
+    return _bump_1d(d1) * _bump_1d(d2) * _bump_1d(d3)
+
+
 class TestWeightSpec:
     def test_support(self):
         w = WeightSpec(center=(0.0, 0.0, 0.0), radius=1.0)
@@ -72,6 +107,22 @@ class TestWeightSpec:
         # approaching the support boundary the bump vanishes to high order
         for eps in (1e-2, 1e-3):
             assert float(w(np.array([1 - eps, 0, 0]))) < 1e-8
+
+    # Gauss-Legendre grids of 24 to 200 nodes per axis, on the hyperboloid's
+    # and the sphere's weight
+    @pytest.mark.parametrize("nodes", [(24, 24, 24), (200, 200, 24), (57, 128, 91)])
+    @pytest.mark.parametrize("center", [HYP_CENTER, (3**-0.5,) * 3], ids=["hyp", "sphere"])
+    def test_values_match_sqrt_formula(self, nodes, center):
+        for profile in ("ball", "box"):
+            w = WeightSpec(center=center, radius=0.6, profile=profile)
+            grid = np.ix_(*_gl_box(w, nodes)[0])
+            got, want = w.values(*grid), weight_values_sqrt(w, *grid)
+            if profile == "box":
+                assert np.array_equal(got, want)
+            else:
+                assert np.array_equal(got > 0.0, want > 0.0)
+                assert np.max(np.abs(got - want)) <= 1e-15
+            assert np.count_nonzero(got) > got.size // 8
 
 
 class TestKernel:
@@ -104,11 +155,71 @@ class TestKernel:
         assert kern.h(x, y) == 0.0
 
     def test_h_many_matches_scalar(self):
+        # each value depends on its own y only, not on the array's range
         kern = DeltaKernel(Q=5.0)
         ys = np.linspace(-3, 3, 17)
         many = kern.h_many(0.4, ys)
         singles = np.array([kern.h(0.4, float(y)) for y in ys])
-        assert np.allclose(many, singles)
+        assert np.array_equal(many, singles)
+
+    @pytest.mark.parametrize("x", [0.04, 0.2, 0.37, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("tempering, skew", [(0.4, -0.25), (0.1, 0.5)])
+    def test_h_many_matches_loop(self, x, tempering, skew):
+        kern = DeltaKernel(Q=5.0, tempering=tempering, skew=skew)
+        rng = np.random.default_rng(17)
+        # random y over the whole support, y = 0, and y on the window edges
+        ys = np.concatenate([rng.uniform(-4.0, 4.0, 6000), [0.0], x * np.arange(-16, 17) / 2])
+        got, want = kern.h_many(x, ys), h_many_loop(kern, x, ys)
+        assert np.count_nonzero(want) > 3000
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+        # a 2-D y keeps its shape
+        assert np.array_equal(kern.h_many(x, ys[:6000].reshape(60, 100)), got[:6000].reshape(60, 100))
+
+    @pytest.mark.parametrize("min_points", [1, 7, 1 << 30])
+    @pytest.mark.parametrize("x", [0.04, 0.37, 1.0])
+    def test_h_many_same_for_any_working_set(self, monkeypatch, min_points, x):
+        # the walk drops finished points from its working set (at the default
+        # 1024 once half of 6000 finish), or keeps them and adds +0.0 for them
+        kern = DeltaKernel(Q=5.0)
+        ys = np.random.default_rng(5).uniform(-4.0, 4.0, 6000)
+        want = kern.h_many(x, ys)
+        monkeypatch.setattr(arch, "_WALK_MIN_POINTS", min_points)
+        assert np.array_equal(kern.h_many(x, ys), want)
+
+    @pytest.mark.parametrize("x", [0.04, 0.2, 0.37, 1.0, 2.0, 3.5])
+    def test_h_at_zero_is_y_free_part(self, x):
+        # no integer j lies in the window |y|/x < j < 2|y|/x while |y| <= x/2
+        kern = DeltaKernel(Q=5.0)
+        got = kern.h_many(x, np.array([0.0, -0.0, 0.25 * x, -0.5 * x]))
+        assert np.array_equal(got, np.full(4, kern._y_free_part(x)))
+        assert kern.h(x, 0.0) == kern._y_free_part(x)
+        assert (kern._y_free_part(x) == 0.0) == (x >= 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_h_rejects_nonfinite_y(self, bad):
+        kern = DeltaKernel(Q=5.0)
+        with pytest.raises(ValueError, match="finite"):
+            kern.h_many(0.2, np.array([0.1, bad, 0.3]))
+        with pytest.raises(ValueError, match="finite"):
+            kern.h(0.2, bad)
+
+    def test_h_rejects_windows_past_exact_j(self):
+        kern = DeltaKernel(Q=5.0)
+        with pytest.raises(ValueError, match="2\\^52"):
+            kern.h_many(0.5, np.array([0.0, 2.0**51]))
+
+    @pytest.mark.parametrize("x", [0.25, 0.2, 0.37, 1.0, 0.5005])
+    def test_window_edges_raise_no_warning(self, x):
+        # |y|/x on integers and half-integers, where t/j lands on 1/2 or 1,
+        # and one ulp either side of each; 0.5005 puts xj next to 1/2
+        kern = DeltaKernel(Q=5.0)
+        t = np.arange(1, 13, dtype=np.float64)
+        edges = np.concatenate([t, t - 0.5, *(np.nextafter(e, d) for e in (t, t - 0.5) for d in (0.0, np.inf))])
+        ys = np.concatenate([x * edges, -x * edges, [x * np.nextafter(1.0, 0.0) / 2]])
+        with np.errstate(all="raise"):
+            got = kern.h_many(x, ys)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - h_many_loop(kern, x, ys))) <= 1e-14 * max(1.0, np.max(np.abs(got)))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
