@@ -6,11 +6,11 @@ independent facts make it computable at scale:
 
   1. S_q(c) is multiplicative across the coprime split q = q1 * q2, where q2
      collects the primes dividing the invariant 2*L*det(F).
-  2. The q1-factor has a closed form: a Jacobi symbol times a short sum over
-     square roots of a discriminant mod q1 -- evaluation cost ~log q1 instead
-     of q1^3.  Where q1 shares a prime with m0*N (say p0 | q1), that part v
-     of q1 is summed by its definition and the rest, u = q1 / v, stays
-     closed.
+  2. The q1-factor has a closed form at every odd q1: completing the square
+     with Gauss sums leaves a Jacobi symbol, q1^(3/2) and a Salie-type sum
+     of F*(c), one length-q1 table for all c instead of q1^3 terms per c.
+     Where q1 is prime to m0*N, Lemma 2.1 evaluates it as a short sum over
+     square roots of a discriminant mod q1.
   3. The ramified q2-factor decomposes over Dirichlet characters, which is
      how the averaged estimates are organized.
 
@@ -53,18 +53,16 @@ for q1 in (7, 23, 59):
               f"brute {brute.real:+12.4f}  dev {abs(closed - brute):.2e}")
 
 print()
-print("== S_q(c) from its factors: closed form on u, definition on v ==")
+print("== S_q(c) = S1 * S2: one closed form on q1, p0 | q1 included ==")
 inst625 = inst.with_h(2)  # N = 625
-q, c625 = 205, (1, 1, 0)
-q1, q2 = crt_split(inst625, q)
-v = smooth_part(q1, inst625.mN)
-u = q1 // v
-closed_u = lemma21_eval(inst625, u, q // u, c625).value
-brute_v = brute_S1(inst625, v, q // v, c625).value
-whole = brute_S(inst625, q, c625).value
-print(f"N=625, q={q} = u*v*q2 = {u}*{v}*{q2}, c={c625}:  closed(u) * S1(v) = "
-      f"{(closed_u * brute_v).real:+.4f}  brute_S {whole.real:+.4f}  "
-      f"sqc_values dev {abs(sqc_values(inst625, q, [c625])[0] - whole):.2e}")
+c625 = (5, 1, 1)
+for q in (25, 50, 75, 125):
+    q1, q2 = crt_split(inst625, q)
+    whole = brute_S(inst625, q, c625).value
+    closed = sqc_values(inst625, q, [c625])[0]
+    print(f"N=625, q={q:3d} = {q1}*{q2} (5-part of q1: {smooth_part(q1, 5):3d}), c={c625}:  "
+          f"sqc_values {closed.real:+12.4f}  brute_S {whole.real:+12.4f}  "
+          f"dev {abs(closed - whole):.2e}")
 
 print()
 print("== character decomposition of the ramified factor ==")

@@ -312,6 +312,8 @@ _IDENTITY_N_MAX = 400
 def cmd_compare(args, cfg) -> int:
     instance = build_instance(cfg)
     h_lo = _get_int(cfg, "h_min", 1)
+    if h_lo < 0:
+        raise ConfigError(f"config field h_min: h must be nonnegative, got {h_lo}")
     h_hi = _get_int(cfg, "h_max", 3)
     if h_hi - h_lo + 1 < 3:
         raise ConfigError("config fields h_min/h_max: need at least 3 h values")
@@ -319,11 +321,10 @@ def cmd_compare(args, cfg) -> int:
     p_max = _get_int(cfg, "P_max", 300)
     quad = quad_from_config(cfg)
     h_values = tuple(range(h_lo, h_hi + 1))
-    kwargs = {}
-    if "q_max" in cfg:
-        kwargs["q_max"] = _get_int(cfg, "q_max")
-    if "c_max" in cfg:
-        kwargs["c_max"] = _get_int(cfg, "c_max")
+    kwargs = {field: _get_int(cfg, field) for field in ("q_max", "c_max") if field in cfg}
+    for field, least in (("q_max", 1), ("c_max", 0)):
+        if kwargs.get(field, least) < least:
+            raise ConfigError(f"config field {field}: must be >= {least}, got {kwargs[field]}")
     # identity check on every h small enough for the truncated expansion;
     # each expansion's plan (and memory preflight) comes before any other work
     plans = {

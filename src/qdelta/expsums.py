@@ -1,10 +1,9 @@
 """Complete exponential sums for the delta-method expansion.
 
 Ground truth is the definition-level sum S_q(c) over residues sigma mod qL
-(with the divisibility condition tested in exact integers), together with its
-CRT factors S1/S2, the closed-form evaluation of S1 via Jacobi symbols and
-quadratic root sets, and the character averages used to organize the ramified
-part.
+(the divisibility condition tested in exact integers), with its CRT factors
+S1/S2, the closed forms of S1 (a Salie-sum table at every odd q1, Lemma 2.1
+where q1 is prime to m0 N) and the character averages of the ramified part.
 
 The unit a-sums are collapsed to Ramanujan sums c_q(m) via the Mobius/gcd
 formula; the raw double loops live in the tests as oracles for that collapse.
@@ -17,12 +16,11 @@ O((qL)^2 + len(cs) qL)), and `_amplitude_table` for every c mod qL at once
 (one FFT).  All vectorized reductions run in a fixed order, the same for a c
 whatever list it comes in, so results are reproducible bit-for-bit.
 
-S_q(c) has one route at every q: the product of its CRT factors, Lemma
-2.1's closed form on the part of q1 prime to m0 N (on int64 arrays of c)
-and definition-level sums only on the small parts of q that share primes
-with m0 N or with Omega: summed per c for a list (`sqc_values`), gathered
-from residue tables for the Poisson dual window (`sqc_window`).
-`sqc_grid`, the whole (qL)^3 table, is an oracle.
+S_q(c) has one route at every q: S1 at modulus q1 in closed form
+(`_s1_values`, on int64 arrays of c) times the definition-level S2 at
+modulus q2 L, summed per c for a list (`sqc_values`) or gathered from its
+residue table on the dual window (`sqc_window`).  `sqc_grid` (the whole
+(qL)^3 table), `brute_S1`, `brute_S1_grid` and `lemma21_eval` are oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modarith import divisors, euler_phi, jacobi, quadratic_roots, ramanujan_sum, smooth_part
+from .modarith import (divisors, euler_phi, factorize, jacobi, quadratic_roots,
+                       ramanujan_sum, smooth_part)
 from .qform import ProblemInstance, evaluate, form_values
 
 _BRUTE_MODULUS_BOUND = 10**4
@@ -42,9 +41,9 @@ _CALA_BOUND = 3000
 # bytes per residue _amplitude_table holds at its peak: the real m^3
 # amplitude, its complex FFT and the conjugate (40.0 traced at m = 125, 128)
 _TABLE_BYTES = 8 + 16 + 16
-# bytes per point of sqc_window's factor product at its peak: Lemma 2.1's
-# class keys and np.unique's five arrays (49.0 traced at 101^3 points)
-_PRODUCT_BYTES = 8 * 6 + 1
+# bytes per point of sqc_window's product at its peak: the complex product and
+# the gathered S2 or the lam-phase's two real temporaries (32.1 traced, 101^3)
+_PRODUCT_BYTES = 8 * 4 + 1
 
 
 @dataclass(frozen=True)
@@ -252,36 +251,45 @@ def _S2_sums(instance: ProblemInstance, q1: int, q2: int, cs) -> list[ComplexSum
     return _amplitude_sums(instance.form, q2, L, L * q1, instance.lam_N, instance.mN, cs)
 
 
-def _lemma21_values(instance: ProblemInstance, q1: int, q2: int, c1, c2, c3) -> np.ndarray:
-    """Lemma 2.1 (see lemma21_eval) on int64 arrays c1, c2, c3 broadcast
-    together.  Each c is reduced mod q1 first, so no int64 step exceeds
-    q1^2, and the root sum is computed once per class of m0 N det F*(c) mod
-    q1 that occurs, then gathered: memory is O(size of c), whatever q1."""
-    if q1 % 2 == 0:
-        raise ValueError("q1 must be odd (Jacobi symbol domain)")
-    if math.gcd(q1, instance.mN) != 1:
-        raise ValueError("require gcd(q1, m0*N) = 1")
+def _salie_table(instance: ProblemInstance, q1: int) -> np.ndarray:
+    """(det/q1) eps^3 q1^{3/2} K(m), m = 0..q1-1, eps = 1 or i (eps^3 = -i) as
+    q1 = 1 or 3 mod 4, K(m) = sum*_{a mod q1} (a/q1) e_{q1}(-a m0 N - abar m):
+    one FFT of f(b) = (b/q1) e_{q1}(-bbar m0 N) over the units b = abar."""
+    b = np.arange(q1, dtype=np.int64)
+    chi = np.ones(q1, dtype=np.int64)  # (b/q1), a product of Legendre tables
+    for p, e in factorize(q1):
+        legendre = np.full(p, -1, dtype=np.int64)
+        legendre[b[:p] ** 2 % p] = 1
+        legendre[0] = 0
+        chi *= legendre[b % p] ** e
+    units = np.flatnonzero(chi)
+    inv = np.array([pow(u, -1, q1) for u in units.tolist()], dtype=np.int64)
+    f = np.zeros(q1, dtype=np.complex128)
+    f[units] = chi[units] * np.exp(-2j * np.pi * (inv * (instance.mN % q1) % q1) / q1)
+    return jacobi(instance.form.det(), q1) * (1 if q1 % 4 == 1 else -1j) * q1**1.5 * np.fft.fft(f)
+
+
+def _s1_values(instance: ProblemInstance, q1: int, q2: int, c1, c2, c3) -> np.ndarray:
+    """S1 on int64 arrays c1, c2, c3 broadcast together.  Every prime of q1
+    is odd and prime to det, so Gauss sums complete the square, whether or
+    not it divides m0 N: S1(c) = e_{q1}(-sbar c.lam_N) T(kappa F*(c)), with
+    T = _salie_table, s = q2 L^2 and kappa = (4 det s^2)^{-1} mod q1.  c is
+    reduced mod q1 first, so no int64 step exceeds q1^2."""
     _check_split(instance, q1, q2)
-    shape = np.broadcast_shapes(np.shape(c1), np.shape(c2), np.shape(c3))
-    if q1 == 1:
-        return np.ones(shape, dtype=np.complex128)
-    det = instance.form.det()
-    inv_s = pow(q2 * instance.L * instance.L, -1, q1)
-    root_scale = pow(det % q1, -1, q1) * inv_s % q1
+    s = q2 * instance.L * instance.L
+    inv_s = pow(s, -1, q1)
+    kappa = pow(4 * instance.form.det() * s * s, -1, q1)
     r = [np.asarray(c, dtype=np.int64) % q1 for c in (c1, c2, c3)]
-    # the class key m0 N det F*(c) mod q1, one reduced term at a time
-    coeffs = (a * instance.mN * det % q1 for a in instance.form.dual().coefficients())
-    key = np.zeros(shape, dtype=np.int64)
+    # the class key kappa F*(c) mod q1, one reduced term at a time
+    coeffs = (a * kappa % q1 for a in instance.form.dual().coefficients())
+    key = np.zeros(np.broadcast_shapes(*(x.shape for x in r)), dtype=np.int64)
     for a, (x, y) in zip(coeffs, ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
         if a:
             key += (a * r[x] % q1) * r[y] % q1
     key %= q1
-    classes, index = np.unique(key, return_inverse=True)
+    out = _salie_table(instance, q1)[key]
     del key
-    front, turn = q1 * q1 * jacobi((-instance.mN * det) % q1, q1), 2.0 * np.pi / q1
-    roots = (np.array(quadratic_roots(int(d), q1)) * root_scale % q1 for d in classes)
-    out = np.array([front * np.exp(1j * (turn * k)).sum() for k in roots])[index.reshape(shape)]
-    del index
+    turn = 2.0 * np.pi / q1
     for lam, x in zip(instance.lam_N, r):
         if lam % q1:
             _mul_in_place(out, np.exp(1j * (turn * ((-inv_s * lam) % q1 * x % q1))))
@@ -300,19 +308,21 @@ def _mul_in_place(out: np.ndarray, z: np.ndarray) -> None:
 
 
 def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
-    """Closed form for S1 via Jacobi symbol and the quadratic root sum, at one c.
-
-    Requires q1 odd, gcd(q1, m0 N) = 1 and gcd(q1, q2 Omega) = 1.  The root
-    sum runs over u = det^{-1} (q2 L^2)^{-1} v mod q1 with
-    v^2 = m0 N det F*(c) mod q1; the placement of the (q2 L^2)-inverse is
-    fixed by the brute-force oracle (substituting tau = q2 L^2 sigma in the
-    definition rescales c by that inverse).  The value is
-    `_lemma21_values` at c, so it equals that array form entry by entry.
-    """
+    """Lemma 2.1, the oracle for _s1_values at q1 prime to 2 m0 N: S1(c) =
+    q1^2 (-m0 N det / q1) e_{q1}(-sbar c.lam_N) sum_v e_{q1}(det^{-1} sbar v)
+    over the v with v^2 = m0 N det F*(c) mod q1, s = q2 L^2 (tau = s sigma
+    rescales c by sbar); the term count is the number of roots v."""
+    if math.gcd(q1, 2 * instance.mN) != 1:
+        raise ValueError("require q1 odd and gcd(q1, m0*N) = 1")
+    _check_split(instance, q1, q2)
     c = tuple(int(v) for v in c)
-    (value,) = _lemma21_values(instance, q1, q2, *([v % q1] for v in c))
-    disc = instance.mN * instance.form.det() * evaluate(instance.form.dual(), c)
-    return ComplexSum(complex(value), len(quadratic_roots(disc % q1, q1)))
+    det = instance.form.det()
+    inv_s = pow(q2 * instance.L * instance.L, -1, q1)
+    roots = quadratic_roots(instance.mN * det * evaluate(instance.form.dual(), c) % q1, q1)
+    shift = -inv_s * sum(lam * v for lam, v in zip(instance.lam_N, c))
+    ks = np.array([(pow(det, -1, q1) * inv_s * v + shift) % q1 for v in roots], dtype=np.int64)
+    front = q1 * q1 * jacobi(-instance.mN * det, q1)
+    return ComplexSum(complex(front * np.exp(2j * np.pi * ks / q1).sum()), len(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -425,65 +435,47 @@ def sqc_grid(instance: ProblemInstance, q: int) -> np.ndarray:
     return _amplitude_table(instance.form, q, L, L, instance.lam_N, instance.mN)
 
 
-def _factors(instance: ProblemInstance, q: int) -> tuple[int, int, int]:
-    """(u, v, q2) with q = u v q2: (q1, q2) = crt_split(q), v the part of q1
-    sharing primes with m0 N and u = q1 / v, where Lemma 2.1 holds."""
-    q1, q2 = crt_split(instance, q)
-    v = smooth_part(q1, instance.mN)
-    return q1 // v, v, q2
-
-
 def sqc_values(instance: ProblemInstance, q: int, cs) -> list[complex]:
-    """S_q(c) at each c in cs, from its CRT factors at every q:
-
-        S_q(c) = lemma21(u, q/u, c) * S1(v, q/v, c) * S2(q1, q2, c)
-
-    with (u, v, q2) = _factors(q): Lemma 2.1 on arrays, and definition-level
-    sums at moduli v and q2 L (up to the brute-force bound), each built once
-    for the whole list and skipped at modulus 1.  A value does not depend on
-    the list it comes in."""
+    """S_q(c) = S1(q1, q2; c) S2(q1, q2; c) at each c in cs, (q1, q2) =
+    crt_split(q): S1 in closed form, S2 the definition-level sum at modulus
+    q2 L (up to the brute-force bound), built once for the whole list and
+    skipped at modulus 1.  A value does not depend on the list it is in."""
     if not cs:
         return []
-    u, v, q2 = _factors(instance, q)
-    r = np.array([[int(x) % u for x in c] for c in cs], dtype=np.int64)
-    vals = [complex(a) for a in _lemma21_values(instance, u, q // u, *r.T)]
-    if v > 1:
-        vals = [a * s.value for a, s in zip(vals, _S1_sums(instance, v, q // v, cs))]
+    q1, q2 = crt_split(instance, q)
+    r = np.array([[int(x) % q1 for x in c] for c in cs], dtype=np.int64)
+    vals = [complex(a) for a in _s1_values(instance, q1, q2, *r.T)]
     if q2 * instance.L > 1:
-        vals = [a * s.value for a, s in zip(vals, _S2_sums(instance, u * v, q2, cs))]
-    return [complex(a) for a in vals]
+        vals = [complex(a * s.value) for a, s in zip(vals, _S2_sums(instance, q1, q2, cs))]
+    return vals
 
 
 def sqc_table_peak(instance: ProblemInstance, q_max: int, width: int) -> tuple[int, int]:
     """(qL, bytes) at the q = 1..q_max where sqc_window on a cube of side
     `width` holds the most besides the returned window: _TABLE_BYTES per
-    residue of the S1(v) and S2(q2 L) tables and _PRODUCT_BYTES per point of
+    residue of the S2 table at modulus q2 L and _PRODUCT_BYTES per point of
     the product, on min(qL, width)^3 points; (0, 0) when q_max < 1."""
     L = instance.L
     peak = (0, 0)
     for q in range(1, q_max + 1):
-        _, v, q2 = _factors(instance, q)
-        tables = sum(m**3 for m in (v, q2 * L) if m > 1)
-        need = _TABLE_BYTES * tables + _PRODUCT_BYTES * min(q * L, width) ** 3
+        m = crt_split(instance, q)[1] * L
+        need = _TABLE_BYTES * (m**3 if m > 1 else 0) + _PRODUCT_BYTES * min(q * L, width) ** 3
         peak = max(peak, (q * L, need), key=lambda size: size[1])
     return peak
 
 
 def sqc_window(instance: ProblemInstance, q: int, cvals) -> np.ndarray:
     """S_q(c) for every c in the cube cvals^3, indexed like the cube: the
-    factor product of sqc_values with S1(v) and S2 gathered from their
-    residue tables, on arange(qL)^3 and gathered once when qL < len(cvals),
-    else on cvals^3."""
+    factor product of sqc_values with S2 gathered from its residue table,
+    on arange(qL)^3 and gathered once when qL < len(cvals), else on
+    cvals^3."""
     cvals = np.asarray(cvals, dtype=np.int64)
     L = instance.L
     axis = np.arange(q * L, dtype=np.int64) if q * L < len(cvals) else cvals
-    u, v, q2 = _factors(instance, q)
-    out = _lemma21_values(instance, u, q // u, *np.ix_(axis, axis, axis))
-    if v > 1:
-        r = axis % v
-        out *= brute_S1_grid(instance, v, q // v)[np.ix_(r, r, r)]
+    q1, q2 = crt_split(instance, q)
+    out = _s1_values(instance, q1, q2, *np.ix_(axis, axis, axis))
     if q2 * L > 1:
         r = axis % (q2 * L)
-        s2 = _amplitude_table(instance.form, q2, L, L * u * v, instance.lam_N, instance.mN)
+        s2 = _amplitude_table(instance.form, q2, L, L * q1, instance.lam_N, instance.mN)
         out *= s2[np.ix_(r, r, r)]
     return out if axis is cvals else out[np.ix_(*[cvals % (q * L)] * 3)]

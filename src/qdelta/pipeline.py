@@ -13,19 +13,20 @@ The expansion evaluates, term by term over (q, c),
     (sqrt(N)/L) * S_q(c) * e_{qL^2}(c.lam_N) * I_{q/Q}(w; c/L) / (qL)^3,
 
 on the dual window, the cube |c|_inf <= c_max held as one (2 c_max + 1)^3
-array, with S_q(c) from expsums.sqc_window (its CRT factor product) and
+array, with S_q(c) from expsums.sqc_window (S1 in closed form times S2) and
 the oscillatory integral from arch on a per-q amplitude grid shared by all
 c: the uniform trapezoid rule (arch._trapezoid_box, with
 QuadratureSpec.trapezoid_nodes_for per q); node counts never rise with q, so
 one buffer sized at q = 1 holds every q's amplitude.  Before anything is
 allocated, a memory preflight rejects (ValueError) an expansion whose
-largest amplitude, contraction intermediate, window and S_q(c) residue
-tables exceed _MEMORY_BUDGET.  Per q the window of e_{qL^2}(c.lam_N) I(c) is
-one separable contraction of the real amplitude with three axis-factor
-matrices (a real GEMM, then two complex matmuls) over the half window
-c1 >= 0; the other half is its complex conjugate.  Two masks split the cube into exceptional
-and ordinary c, c = 0 is its centre; the three partial sums add up to the
-total by construction.  Nodes per q and the capped q are reported too.
+largest amplitude, contraction intermediate, window, S_q(c) factor product
+and S2 residue table exceed _MEMORY_BUDGET.  Per q the window of
+e_{qL^2}(c.lam_N) I(c) is one separable contraction of the real amplitude
+with three axis-factor matrices (a real GEMM, then two complex matmuls) over
+the half window c1 >= 0; the other half is its complex conjugate.  Two masks
+split the cube into exceptional and ordinary c, c = 0 is its centre; the
+three partial sums add up to the total by construction.  Nodes per q and the
+capped q are reported too.
 """
 
 from __future__ import annotations
@@ -293,14 +294,17 @@ def expansion_plan(
     The preflight counts, in float64 values, the largest amplitude grid
     (n^3) and the contraction intermediate (2 (c_max + 1) n^2), plus
     _WINDOW_BYTES per point of the (2 c_max + 1)^3 window and the largest
-    S_q(c) factor tables and product (expsums.sqc_table_peak), and raises
-    ValueError above _MEMORY_BUDGET: nothing is clamped to fit."""
+    S_q(c) S2 table and factor product (expsums.sqc_table_peak), and raises
+    ValueError above _MEMORY_BUDGET (or on q_max < 1, c_max < 0): nothing
+    is clamped to fit."""
     if kernel is None:
         kernel = default_kernel(instance)
     if q_max is None:
         q_max = default_q_max(instance, kernel)
     if c_max is None:
         c_max = default_c_max(instance)
+    if q_max < 1 or c_max < 0:
+        raise ValueError(f"expansion needs q_max >= 1 and c_max >= 0, got {q_max} and {c_max}")
     yscale = (float(instance.Q) / kernel.Q) ** 2
     fr = form_range(instance)
     nodes = []

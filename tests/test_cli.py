@@ -269,6 +269,22 @@ class TestSubcommands:
         assert "q_range" in capsys.readouterr().err
         assert not (tmp_path / "expsum.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["c_max = -1\n", "q_max = 0\n", "q_max = -3\n", "h_min = -1\n"],
+        ids=["c_max_neg", "q_max_0", "q_max_neg", "h_min_neg"],
+    )
+    def test_exit_code_2_on_invalid_window_or_h(self, cfg_file, tmp_path, capsys, extra):
+        # an impossible window or h is a config error naming its field, not
+        # a crash, an empty expansion reported as FAIL, or a resource bound
+        p = tmp_path / "w.cfg"
+        p.write_text(cfg_file.read_text() + extra)
+        rc = main(["compare", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and extra.split()[0] in err
+        assert not (tmp_path / "compare.json").exists()
+
     def test_exit_code_2_on_absent_file(self, tmp_path, capsys):
         rc = main(["count", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 2

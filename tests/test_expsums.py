@@ -16,7 +16,7 @@ from qdelta.expsums import (
     _S_sums,
     _amplitude_rows,
     _exp_table,
-    _lemma21_values,
+    _s1_values,
     _sum_masked_phase,
     brute_S,
     brute_S1,
@@ -165,14 +165,14 @@ class TestGrids:
 class TestClosedFormRoute:
     """sqc_values, one c at a time, at qL > 200, where a whole (qL)^3
     residue table passes 8e6 entries, against the definition-level sum, with
-    q1 wholly in closed form and with a part of q1 (here 5 = p0) that S1
-    takes by its definition."""
+    q1 prime to m0 N (where Lemma 2.1 holds too) and with a part of q1
+    (here 5 = p0) that divides m0 N."""
 
     @pytest.mark.parametrize(
         "h, L, lam, q, closed_s1",
         [
             (2, 1, (0, 0, 0), 201, True),    # N = 625: q1 = 201 prime to 5
-            (2, 1, (0, 0, 0), 205, False),   # q1 = 41 * 5: S1(5) by its definition
+            (2, 1, (0, 0, 0), 205, False),   # q1 = 41 * 5, 5 | m0 N
             (1, 2, (1, 0, 0), 101, True),    # L = 2: qL = 202
             (1, 2, (1, 0, 0), 105, False),   # qL = 210, q1 = 21 * 5
         ],
@@ -197,8 +197,9 @@ CROSS = dict(coeffs=(2, 3, 1, 2, 0, 2), p0=7)            # det 3: Omega = 6, m0 
 
 
 # (instance, q, u, v, q2) with (q1, q2) = crt_split(q), v the part of q1
-# sharing primes with m0 N and u = q1 / v: each of u, v, q2 takes the value 1
-# and a value > 1
+# sharing primes with m0 N and u = q1 / v, where Lemma 2.1 holds: each of
+# u, v, q2 takes the value 1 and a value > 1, so S1's closed form is
+# covered on q1 prime to m0 N, on q1 sharing primes with it, and on mixes
 FACTOR_CASES = pytest.mark.parametrize(
     "kw, q, u, v, q2",
     [
@@ -229,7 +230,7 @@ def _check_factors(inst, q, u, v, q2):
 
 class TestFactoredRoute:
     """sqc_values against the definition-level sum.  Its route is
-    S_q(c) = lemma21(u, q/u) * S1(v, q/v) * S2(q1, q2)."""
+    S_q(c) = S1(q1, q2) * S2(q1, q2), S1 in closed form."""
 
     CS = ((0, 0, 0), (1, -2, 3), (4, 1, -1), (2, 2, 1))
 
@@ -244,9 +245,9 @@ class TestFactoredRoute:
 
 class TestWindow:
     """sqc_window on the cube arange(-3, 4)^3: within rounding of sqc_values
-    on every c (the same factor product, with S1(v) and S2 gathered from
-    their residue tables rather than summed per c), and of the
-    definition-level sum on a sample of c."""
+    on every c (the same factor product, with S2 gathered from its residue
+    table rather than summed per c), and of the definition-level sum on a
+    sample of c."""
 
     SAMPLE = ((-3, -3, -3), (-2, 2, 3), (0, 0, 0), (3, 1, -1))
 
@@ -273,13 +274,13 @@ class TestWindow:
             assert abs(got[tuple(v + 3 for v in c)] - s.value) <= 1e-9 * max(1.0, abs(s.value)), c
 
     # (L, q_max, width) -> (qL, bytes) by hand: 40 bytes per residue of the
-    # factor tables (modulus v and q2 L) plus 49 per point of the product on
+    # S2 table (modulus q2 L) plus 33 per point of the product on
     # min(qL, width)^3 points, at the q where the sum peaks
     PEAKS = {
-        (1, 12, 12): (12, 40 * 4**3 + 49 * 12**3),                  # q = 12: q2 = 4
-        (1, 203, 200): (200, 40 * (25**3 + 8**3) + 49 * 200**3),    # q = 200: v = 25, q2 = 8
-        (2, 99, 198): (198, 40 * 2**3 + 49 * 198**3),               # q = 99: q2 L = 2
-        (2, 150, 200): (256, 40 * 256**3 + 49 * 200**3),            # q = 128: q2 L = 256
+        (1, 12, 12): (12, 40 * 4**3 + 33 * 12**3),                  # q = 12: q2 = 4
+        (1, 203, 200): (200, 40 * 8**3 + 33 * 200**3),              # q = 200: q2 = 8
+        (2, 99, 198): (198, 40 * 2**3 + 33 * 198**3),               # q = 99: q2 L = 2
+        (2, 150, 200): (256, 40 * 256**3 + 33 * 200**3),            # q = 128: q2 L = 256
     }
 
     @pytest.mark.parametrize(
@@ -302,11 +303,13 @@ class TestWindow:
         ids=["residue-cube", "window-cube-v", "window-cube-L2", "window-cube-uvq2"],
     )
     def test_table_peak_bounds_traced(self, kw, q, width):
-        # at a q where the sized bytes peak, sqc_window's traced peak, less
-        # the returned window, stays within them plus numpy's fixed buffers
+        # at the q <= q_max where the sized bytes peak (q_max itself, but
+        # q = 44 for window-cube-v, whose q_max = 45 held the retired v
+        # table), sqc_window's traced peak, less the returned window, stays
+        # within them plus numpy's fixed buffers
         inst = make_instance(**kw)
         qL, sized = sqc_table_peak(inst, q, width)
-        assert qL == q * inst.L
+        q = qL // inst.L
         cvals = np.arange(-(width // 2), width // 2 + 1)
         sqc_window(inst, q, cvals)  # warm the per-modulus caches
         tracemalloc.start()
@@ -381,13 +384,15 @@ class TestWindowRoute:
 
     @FACTOR_CASES
     def test_lemma21_array_equals_one_c(self, kw, q, u, v, q2):
-        # the array form, evaluated on a cube, is the one-c call entry by entry
+        # on u, where Lemma 2.1 holds, the closed form evaluated on a cube is
+        # the one-c root sum entry by entry, to 1e-12 u^{3/2}; that bound
+        # holds where the root sum is exactly 0 (no root) too
         inst = make_instance(**kw)
         cvals = np.arange(-2, 3)
-        got = _lemma21_values(inst, u, q // u, *np.ix_(cvals, cvals, cvals))
+        got = _s1_values(inst, u, q // u, *np.ix_(cvals, cvals, cvals))
         for c in itertools.product(range(5), repeat=3):
             want = lemma21_eval(inst, u, q // u, [int(cvals[i]) for i in c]).value
-            assert got[c] == want, c
+            assert abs(got[c] - want) <= 1e-12 * u**1.5, c
 
 
 def _amplitude_sum(form, q: int, L: int, scale: int, lam, target: int, c) -> ComplexSum:
@@ -419,11 +424,11 @@ class TestBatchedSums:
         [
             (2, 1, (0, 0, 0), 6),
             (2, 1, (0, 0, 0), 200),    # qL = 200: u = 1, v = 25, q2 = 8
-            (2, 1, (0, 0, 0), 201),    # S1 wholly in closed form
+            (2, 1, (0, 0, 0), 201),    # q1 = 201 prime to m0 N
             (2, 1, (0, 0, 0), 205),    # u = 41, v = 5
             (1, 2, (1, 0, 0), 3),
             (1, 2, (1, 0, 0), 100),    # qL = 200
-            (1, 2, (1, 0, 0), 101),    # qL = 202, S1 wholly in closed form
+            (1, 2, (1, 0, 0), 101),    # qL = 202, q1 = 101 prime to m0 N
             (1, 2, (1, 0, 0), 105),    # qL = 210, u = 21, v = 5
         ],
     )
@@ -431,8 +436,6 @@ class TestBatchedSums:
         inst = make_instance(h=h, L=L, lam=lam)
         form, lam_N, mN = inst.form, inst.lam_N, inst.mN
         q1, q2 = crt_split(inst, q)
-        v = smooth_part(q1, mN)
-        u = q1 // v
         for c, got in zip(self.BATCH, sqc_values(inst, q, self.BATCH), strict=True):
             s1 = _amplitude_sum(form, q1, 1, q2 * L * L, lam_N, mN, c)
             s2 = _amplitude_sum(form, q2, L, L * q1, lam_N, mN, c)
@@ -441,10 +444,10 @@ class TestBatchedSums:
             if q * L <= 200:  # the whole sum costs (qL)^3 per c
                 whole = _amplitude_sum(form, q, L, L, lam_N, mN, c)
                 assert brute_S(inst, q, c) == whole, c
-            # sqc_values' route: closed form on u, S1 by definition on v, S2
-            closed = lemma21_eval(inst, u, q // u, c).value
-            s1_v = _amplitude_sum(form, v, 1, (q // v) * L * L, lam_N, mN, c).value
-            assert got == complex(closed * s1_v * s2.value), c
+            # sqc_values' route: S1 in closed form at c alone, times S2
+            (closed,) = _s1_values(inst, q1, q2, *([v] for v in c))
+            assert got == complex(closed) * s2.value, c
+            assert type(got) is complex  # the CSV writes its repr
 
     def test_empty_batch(self, hyp):
         assert sqc_values(hyp, 7, []) == []
@@ -470,6 +473,75 @@ class TestLemma21:
     def test_requires_coprimality(self, hyp):
         with pytest.raises(ValueError):
             brute_S1(hyp, 6, 2, (0, 0, 0))  # q1 not coprime to Omega
+
+
+SPHERE2401 = dict(coeffs=(1, 1, 1), p0=7, h=2, center=(0.577, 0.577, 0.577))  # Omega = 2
+
+
+class TestS1ClosedForm:
+    """_s1_values, the closed form of S1 at every odd q1, against the
+    definition-level S1 on the whole residue cube c mod q1, at q1 whose
+    primes divide m0 N (alone, to powers 1..3, and mixed with primes that
+    do not), and against Lemma 2.1 where q1 is prime to m0 N."""
+
+    @pytest.mark.parametrize(
+        "kw, q1, q2",
+        [
+            (HYP625, 5, 1), (HYP625, 25, 2), (HYP625, 125, 4),
+            (HYP_M03, 3, 2), (HYP_M03, 9, 1), (HYP_M03, 27, 4),
+            (CROSS, 7, 2), (CROSS, 49, 1),
+            (HYP_M03, 15, 4),                   # 3 | m0 and 5 | N
+            (HYP_M03, 105, 2),                  # 3 * 5 * 7: 7 prime to m0 N
+            (CONG, 5, 2), (CONG, 25, 4),        # L = 2, lam_N != 0
+            (CONG, 15, 1), (CONG, 75, 2),
+        ],
+    )
+    def test_matches_brute_grid(self, kw, q1, q2):
+        inst = make_instance(**kw)
+        assert q1 % 2 == 1 and smooth_part(q1, inst.mN) > 1
+        r = np.arange(q1)
+        got = _s1_values(inst, q1, q2, *np.ix_(r, r, r))
+        want = brute_S1_grid(inst, q1, q2)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        # the grid itself is the definition-level sum
+        for c in ((0, 0, 0), (1, 2, -1), (4, 0, 1)):
+            assert abs(want[tuple(v % q1 for v in c)] - brute_S1(inst, q1, q2, c).value) < 1e-8
+
+    @pytest.mark.parametrize(
+        "kw, q1, q2",
+        [
+            ({}, 3, 1), ({}, 21, 4), ({}, 33, 2),
+            (HYP625, 201, 1),
+            (CONG, 7, 1), (CONG, 9, 2), (CONG, 101, 1),   # L = 2, lam_N != 0
+            (CROSS, 5, 2), (CROSS, 55, 3),
+        ],
+    )
+    def test_matches_lemma21(self, kw, q1, q2):
+        # Lemma 2.1's root sum is exactly 0 where m0 N det F*(c) is no square
+        # mod q1: the closed form is then within the same bound of 0
+        inst = make_instance(**kw)
+        assert math.gcd(q1, inst.mN) == 1
+        cvals = np.arange(-3, 4)
+        got = _s1_values(inst, q1, q2, *np.ix_(cvals, cvals, cvals))
+        zeros = 0
+        for idx in itertools.product(range(7), repeat=3):
+            want = lemma21_eval(inst, q1, q2, [int(cvals[i]) for i in idx])
+            assert abs(got[idx] - want.value) <= 1e-12 * q1**1.5, idx
+            zeros += want.terms == 0
+        assert zeros > 0
+
+    def test_sphere_2401(self):
+        # N = 7^4: S1 at q1 = 49 and 343 from a length-q1 table, no q1^3 one;
+        # the largest table up to q = 358 is S2's at q2 L = 256
+        inst = make_instance(**SPHERE2401)
+        assert sqc_table_peak(inst, 358, 25) == (256, 40 * 256**3 + 33 * 25**3)
+        cs = [(0, 0, 0), (1, -2, 3), (5, 4, -1)]
+        for q in (49, 343):
+            q1, q2 = crt_split(inst, q)
+            assert (q1, q2) == (q, 1)
+            for c, got in zip(cs, sqc_values(inst, q, cs), strict=True):
+                want = brute_S1(inst, q1, q2, c).value * brute_S2(inst, q1, q2, c).value
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (q, c)
 
 
 class TestCharacterDecomposition:

@@ -212,6 +212,11 @@ class TestExpansionBookkeeping:
         with pytest.raises(OverflowError, match="int64 classifier"):
             poisson_rhs(inst, q_max=1, c_max=30)
 
+    @pytest.mark.parametrize("q_max, c_max", [(0, 3), (-3, 3), (2, -1)])
+    def test_plan_refuses_empty_window(self, hyp_instance, q_max, c_max):
+        with pytest.raises(ValueError, match="q_max >= 1 and c_max >= 0"):
+            pipeline.expansion_plan(hyp_instance, q_max=q_max, c_max=c_max)
+
     def test_preflight_counts_residue_table(self, monkeypatch):
         # hyperboloid h = 3 up to q = 256 at c_max = 1, 24 nodes: amplitude,
         # contraction and window take under 1 MiB, while the S2 factor table
@@ -222,7 +227,7 @@ class TestExpansionBookkeeping:
         quad = QuadratureSpec(max_nodes=24)
         n = max(pipeline.expansion_plan(inst, q_max=256, c_max=1, quad=quad)[3])
         assert 8 * (n**3 + 4 * n * n) + pipeline._WINDOW_BYTES * 27 < 2**20
-        assert sqc_table_peak(inst, 256, 3) == (256, 40 * 256**3 + 49 * 27)
+        assert sqc_table_peak(inst, 256, 3) == (256, 40 * 256**3 + 33 * 27)
         assert sqc_table_peak(inst, 203, 3)[1] < 2**27 - 2**20
         monkeypatch.setattr(pipeline, "_MEMORY_BUDGET", 2**27)
         tracemalloc.start()
