@@ -8,9 +8,12 @@ oracle of the expansion's integrals) and the singular integral, and the
 uniform trapezoid rule for the expansion side (pipeline.poisson_rhs).  Its
 amplitude vanishes with all its derivatives on the box edge, so the trapezoid
 rule converges spectrally with about 2 nodes per phase cycle.  The kernel
-amplitude is built in slabs of at most _SLAB_POINTS grid points.  The
-Gauss-Legendre reference rule on [-1, 1] is computed once per node count and
-cached in-process; each grid maps it onto its own interval.
+amplitude and the singular integral's Gaussian mollifier both walk their
+grids in slabs of at most _SLAB_POINTS grid points (_slabs), so their memory
+is O(slab) at any node count; the mollifier makes one pass per node count
+for every width on it.  The Gauss-Legendre reference rule on [-1, 1] is
+computed once per node count and cached in-process; each grid maps it onto
+its own interval.
 
 The kernel h(x, y) = sum_{j>=1} (xj)^{-1} [omega(xj) - omega(|y|/(xj))] is
 built from a bump omega supported on [1/2, 1], so a point pays only for the
@@ -297,9 +300,10 @@ _GL_REFINE = 1.35
 # singular_integral's first mollifier width, per unit of max(1, |m0|)
 _MOLLIFIER_EPS0 = 0.2
 
-# grid points per slab of _amplitude_grid: 512 KiB per float64 temporary.
-# Measured on the identity and osc_monitor inputs (2^14 to 2^20 and one
-# block): peak RSS grows with the slab above 2^16, time is flat or worse
+# grid points per slab of _amplitude_grid and _mollified: 512 KiB per float64
+# temporary.  Measured on the identity and osc_monitor inputs (2^14 to 2^20
+# and one block): peak RSS grows with the slab above 2^16, time is flat or
+# worse
 _SLAB_POINTS = 1 << 16
 
 
@@ -371,6 +375,19 @@ def _trapezoid_box(weight: WeightSpec, nodes) -> tuple[list[np.ndarray], list[np
     return axes, wts
 
 
+def _slabs(nodes):
+    """(x1 slice, x2 slice) pairs that cover an (n0, n1, n2) tensor grid in
+    slabs of at most _SLAB_POINTS points, in C order: whole x1 rows while
+    they fit, and one row split along x2 when it is wider (a slab is never
+    narrower than one x3 line)."""
+    n0, n1, n2 = nodes
+    cols = max(1, min(n1, _SLAB_POINTS // n2))
+    rows = max(1, _SLAB_POINTS // (cols * n2))
+    for i in range(0, n0, rows):
+        for j in range(0, n1, cols):
+            yield slice(i, i + rows), slice(j, j + cols)
+
+
 def _amplitude_grid(
     instance: ProblemInstance,
     kernel: DeltaKernel,
@@ -387,30 +404,24 @@ def _amplitude_grid(
     array).  yscale != 1 arises when the kernel scale is decoupled from the
     geometric scale sqrt(N)/L.
 
-    The grid is filled slab by slab: whole x1 rows while they fit in
-    _SLAB_POINTS points, and one row split along x2 when it is wider (a slab
-    is never narrower than one x3 line), so every temporary of w, F - m0 and
-    h_many is slab-sized.  The values are bit-identical to one evaluation
-    over the whole grid, because each value depends on its own point alone:
-    w and F are pointwise, and h_many gives a point the scalar C(r) less
-    its own window's terms, summed in j order whichever other points share
-    the call.  The amplitude is written into `out` when given (a contiguous
+    The grid is filled slab by slab (_slabs), so every temporary of w,
+    F - m0 and h_many is slab-sized.  The values are bit-identical to one
+    evaluation over the whole grid, because each value depends on its own
+    point alone: w and F are pointwise, and h_many gives a point the scalar
+    C(r) less its own window's terms, summed in j order whichever other
+    points share the call.  The amplitude is written into `out` when given (a contiguous
     float64 array with at least n0 n1 n2 entries; its leading ones are
     used)."""
     axes, wts = box(instance.weight, nodes)
-    n0, n1, n2 = nodes
-    amp = np.empty(nodes) if out is None else out.reshape(-1)[: n0 * n1 * n2].reshape(nodes)
-    cols = max(1, min(n1, _SLAB_POINTS // n2))
-    rows = max(1, _SLAB_POINTS // (cols * n2))
-    for i in range(0, n0, rows):
-        for j in range(0, n1, cols):
-            grid = np.ix_(axes[0][i : i + rows], axes[1][j : j + cols], axes[2])
-            slab = instance.weight.values(*grid)
-            mask = slab > 0.0
-            if np.any(mask):
-                y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
-                slab[mask] *= kernel.h_many(r, y)
-            amp[i : i + rows, j : j + cols] = slab
+    amp = np.empty(nodes) if out is None else out.reshape(-1)[: math.prod(nodes)].reshape(nodes)
+    for s0, s1 in _slabs(nodes):
+        grid = np.ix_(axes[0][s0], axes[1][s1], axes[2])
+        slab = instance.weight.values(*grid)
+        mask = slab > 0.0
+        if np.any(mask):
+            y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
+            slab[mask] *= kernel.h_many(r, y)
+        amp[s0, s1] = slab
     return axes, wts, amp
 
 
@@ -474,58 +485,72 @@ def osc_integral(
 
 @dataclass(frozen=True)
 class SingularIntegral:
-    """Mollifier-extrapolated archimedean density with its coarea cross-check."""
+    """Mollifier-extrapolated archimedean density with its coarea cross-check.
+
+    ladder holds (width, Gauss-Legendre nodes per axis) per mollifier width;
+    coarea_axis is the axis the coarea route solved along, None when every
+    square coefficient is 0 and the coarea fields repeat the mollifier's."""
 
     value: float
     error: float
     coarea_value: float
     coarea_error: float
     converged: bool
+    ladder: tuple[tuple[float, int], ...]
+    coarea_axis: int | None
 
     def consistent(self) -> bool:
         tol = self.error + self.coarea_error + 1e-9
         return abs(self.value - self.coarea_value) <= tol
 
 
-def _mollifier_grid(instance: ProblemInstance, nodes: int):
-    """(w, F - m0, Gauss-Legendre weights) on the nodes^3 support box: all
-    of the mollified integral that does not depend on eps."""
+def _mollified(instance: ProblemInstance, nodes: int, widths) -> list[float]:
+    """int w(t) phi_e(F(t) - m0) dt with a Gaussian phi_e of each width e,
+    on one nodes^3 Gauss-Legendre grid over the support box.
+
+    One pass over the grid in slabs (_slabs): per slab, w and F - m0 are
+    evaluated once, the weighted amplitude W = w w_i w_j w_k and y = F - m0
+    are kept where w > 0 only, and every width adds sum W exp(-(y/e)^2 / 2)
+    to its own sum.  Memory is O(_SLAB_POINTS) at any node count."""
     axes, wts = _gl_box(instance.weight, (nodes, nodes, nodes))
-    grid = np.ix_(*axes)
-    # w before F - m0, so the bump's grid-sized temporaries come and go
-    # while only w is held
-    w = instance.weight.values(*grid)
-    y = form_values(instance.form, *grid)
-    y -= instance.m0
-    return w, y, wts
-
-
-def _mollified(grid, eps: float) -> float:
-    """int w(t) phi_eps(F(t) - m0) dt with a Gaussian phi_eps, on a
-    _mollifier_grid."""
-    w, y, wts = grid
-    # w exp(-(y/eps)^2 / 2) / (eps sqrt(2 pi)) in one n^3 array, in place
-    amp = y / eps
-    np.square(amp, out=amp)
-    amp *= -0.5
-    np.exp(amp, out=amp)
-    amp *= w
-    amp /= eps * math.sqrt(2.0 * math.pi)
-    return float(np.einsum("ijk,i,j,k->", amp, wts[0], wts[1], wts[2]))
+    sums = [0.0] * len(widths)
+    for s0, s1 in _slabs((nodes, nodes, nodes)):
+        grid = np.ix_(axes[0][s0], axes[1][s1], axes[2])
+        w = instance.weight.values(*grid)
+        mask = w > 0.0
+        if not np.any(mask):
+            continue
+        w *= wts[0][s0, None, None]
+        w *= wts[1][None, s1, None]
+        w *= wts[2]
+        amp = w[mask]
+        y = form_values(instance.form, *grid)[mask]
+        y -= instance.m0
+        for k, e in enumerate(widths):
+            g = y / e
+            np.square(g, out=g)
+            g *= -0.5
+            np.exp(g, out=g)
+            # einsum, not BLAS: a threaded dot spends more on its threads
+            # than on one slab, and its rounding follows the thread count
+            sums[k] += float(np.einsum("i,i->", amp, g))
+    return [s / (e * math.sqrt(2.0 * math.pi)) for s, e in zip(sums, widths)]
 
 
 def coarea_integral(instance: ProblemInstance, nodes: int = 160) -> tuple[float, float]:
-    """Surface route: sum over the x3-sheets of {F = m0} of w / |dF/dx3| on a
-    2D grid; requires a nonzero x3^2 coefficient."""
-    form = instance.form
-    a11, a22, a33, a12, a13, a23 = form.coefficients()
-    if a33 == 0:
-        raise ValueError("coarea route requires a nonzero x3^2 coefficient")
+    """Surface route: sum over the sheets of {F = m0} along x_k, the last
+    axis with a nonzero square coefficient (QForm.solve_order; the other two
+    coordinates span the 2-D grid), of w / |dF/dx_k|; requires a nonzero
+    square coefficient."""
+    order = instance.form.solve_order()
+    if order is None:
+        raise ValueError("coarea route requires a nonzero square coefficient")
+    a11, a22, a33, a12, a13, a23 = instance.form.permuted(order).coefficients()
+    lo, hi = instance.weight.support_box()
 
     def run(n: int) -> float:
-        lo, hi = instance.weight.support_box()
-        x1, w1 = _gl_axis(float(lo[0]), float(hi[0]), n)
-        x2, w2 = _gl_axis(float(lo[1]), float(hi[1]), n)
+        x1, w1 = _gl_axis(float(lo[order[0]]), float(hi[order[0]]), n)
+        x2, w2 = _gl_axis(float(lo[order[1]]), float(hi[order[1]]), n)
         g1, g2 = np.ix_(x1, x2)
         bb = a13 * g1 + a23 * g2
         cc = a11 * g1 * g1 + a22 * g2 * g2 + a12 * g1 * g2 - instance.m0
@@ -536,8 +561,10 @@ def coarea_integral(instance: ProblemInstance, nodes: int = 160) -> tuple[float,
                 root = (-bb + sign * np.sqrt(np.where(disc > 0, disc, np.nan))) / (2.0 * a33)
             grad3 = 2.0 * a33 * root + bb
             ok = np.isfinite(root) & (np.abs(grad3) > 1e-12)
+            point = [None] * 3
+            point[order[0]], point[order[1]], point[order[2]] = g1, g2, root
             vals = np.zeros((n, n))
-            vals[ok] = instance.weight.values(g1, g2, root)[ok] / np.abs(grad3[ok])
+            vals[ok] = instance.weight.values(*point)[ok] / np.abs(grad3[ok])
             total += float(np.einsum("ij,i,j->", vals, w1, w2))
         return total
 
@@ -551,30 +578,33 @@ def singular_integral(
     """Archimedean density: Gaussian mollifier with Richardson extrapolation
     over eps -> 0, cross-checked against the coarea form."""
     scale = max(1.0, abs(float(instance.m0)))
-    eps = _MOLLIFIER_EPS0 * scale
-    vals = []
-    # the node count never falls as eps halves: each count's grid is built
-    # once, and the last one is dropped before the next is built
-    grid_nodes = grid = None
-    for k in range(3):
-        e = eps / 2**k
-        nodes = min(quad.max_nodes, max(48, int(24 * scale / e)))
-        if nodes != grid_nodes:
-            grid = None
-            grid = _mollifier_grid(instance, nodes)
-            grid_nodes = nodes
-        vals.append(_mollified(grid, e))
-    del grid
+    widths = [_MOLLIFIER_EPS0 * scale / 2**k for k in range(3)]
+    ladder = tuple((e, min(quad.max_nodes, max(48, int(24 * scale / e)))) for e in widths)
+    # one pass per node count serves every width on it; the count never
+    # falls as the width halves, so the passes return the values in order
+    passes: dict[int, list[float]] = {}
+    for e, n in ladder:
+        passes.setdefault(n, []).append(e)
+    vals = [v for n, es in passes.items() for v in _mollified(instance, n, es)]
     # I(eps) = I0 + c eps^2 + ..., so Richardson in eps^2
     r1 = (4.0 * vals[1] - vals[0]) / 3.0
     r2 = (4.0 * vals[2] - vals[1]) / 3.0
     err = abs(r2 - r1)
     converged = err < 0.05 * max(abs(r2), 1e-12) + 1e-9
-    try:
-        cv, ce = coarea_integral(instance)
-    except ValueError:
+    order = instance.form.solve_order()
+    if order is None:
         cv, ce = r2, err  # no independent sheet route available
-    return SingularIntegral(value=r2, error=err, coarea_value=cv, coarea_error=ce, converged=converged)
+    else:
+        cv, ce = coarea_integral(instance)
+    return SingularIntegral(
+        value=r2,
+        error=err,
+        coarea_value=cv,
+        coarea_error=ce,
+        converged=converged,
+        ladder=ladder,
+        coarea_axis=None if order is None else order[2],
+    )
 
 
 def form_range(instance: ProblemInstance, samples: int = 33) -> float:

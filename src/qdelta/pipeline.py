@@ -5,8 +5,9 @@ and residual extraction.
 The direct count solves F(x) = m0 N exactly along one axis for every
 congruence-admissible pair of the other two: one int64 array kernel per
 block of at most _BLOCK_PAIRS pairs, with an exact integer square root (the
-float root and a +-1 fix-up) and an exact bound that rejects, before any
-allocation, a box where an int64 step could reach 2^62.
+rounded float root, exact on perfect squares below 2^62) and an exact bound
+that rejects, before any allocation, a box where an int64 step could reach
+2^62.
 
 The expansion evaluates, term by term over (q, c),
 
@@ -40,6 +41,7 @@ import numpy as np
 from .arch import (
     DeltaKernel,
     QuadratureSpec,
+    SingularIntegral,
     _amplitude_grid,
     _axis_factors,
     _contract_axes,
@@ -52,8 +54,10 @@ from .localdens import L_one_psi0, SingularSeries, singular_series
 from .qform import ProblemInstance, _classify_array
 
 _ENUM_AXIS_BOUND = 10**6
-# (x1, x2) pairs per block of the sliced kernel: a few MB of int64 scratch
-_BLOCK_PAIRS = 1 << 16
+# (x1, x2) pairs per block of the sliced kernel: 128 KiB per int64 temporary.
+# Blocks of 2^16 pairs ran as fast only on a heap that a freed 16 MiB array
+# had left warm; on a fresh heap every block faulted in new pages
+_BLOCK_PAIRS = 1 << 14
 # |x3-discriminant| limit of the int64 kernel; below it (r + 1)^2 still fits
 _DISC_BOUND = 1 << 62
 
@@ -107,13 +111,14 @@ def _admissible_axis(lo: float, hi: float, lam: int, L: int, s: int) -> np.ndarr
     return np.arange(start, math.floor(hi * s) + 1, L, dtype=np.int64)
 
 
-def _isqrt_floor(d: np.ndarray) -> np.ndarray:
-    """floor(sqrt(d)) for an int64 array with 0 <= d < 2^62.  The rounded
-    float root is within one of it; the integer fix-up makes it exact."""
-    r = np.sqrt(d.astype(np.float64)).astype(np.int64)
-    r -= r * r > d
-    r += (r + 1) * (r + 1) <= d
-    return r
+def _square_root(d: np.ndarray) -> np.ndarray:
+    """The nearest integer to sqrt(d) for an int64 array with 0 <= d < 2^62:
+    the exact root wherever d is a perfect square.  For d = s^2 the float
+    root is within s 2^-52 < 2^-21 of s, so it rounds to s; d is a square
+    exactly where the result squared equals d."""
+    r = np.sqrt(d.astype(np.float64))
+    np.rint(r, out=r)
+    return r.astype(np.int64)
 
 
 def _solutions_sliced(instance: ProblemInstance) -> np.ndarray:
@@ -121,14 +126,17 @@ def _solutions_sliced(instance: ProblemInstance) -> np.ndarray:
     along one axis for every congruence-admissible pair of the other two.
 
     The solved axis is x3, or the last axis with a nonzero square
-    coefficient when a33 = 0 (coordinates are permuted and permuted back).
+    coefficient when a33 = 0 (QForm.solve_order; coordinates are permuted
+    and permuted back).
     Pairs (x1, x2) go through in blocks of whole x1 rows, at most
     _BLOCK_PAIRS pairs each (one x1 row is split when the x2 axis is wider).
     Per block, in int64: the x3-discriminant
-    disc = (a13 x1 + a23 x2)^2 - 4 a33 (a11 x1^2 + a22 x2^2 + a12 x1 x2 - m0 N),
-    its exact integer root where disc is a square (_isqrt_floor), both
-    roots x3 = (-b +- r) / (2 a33) (one when r = 0), and the divisibility,
-    x3 = lam3 mod L and box filters as masks.  Before any allocation the
+    disc = (a13 x1 + a23 x2)^2 - 4 a33 (a11 x1^2 + a22 x2^2 + a12 x1 x2 - m0 N)
+    from terms computed once per axis, and its exact integer root where
+    disc is a square (_square_root).  The few square pairs of all blocks
+    then go through once: both roots x3 = (-b +- r) / (2 a33) (one when
+    r = 0), and the divisibility, x3 = lam3 mod L and box filters as
+    masks.  Before any allocation the
     termwise bound on |disc| over the box corners, in exact integers, must
     stay below 2^62, or OverflowError is raised: no int64 step can wrap.
     Returns an (n, 3) int64 array in lexicographic order."""
@@ -140,13 +148,10 @@ def _solutions_sliced(instance: ProblemInstance) -> np.ndarray:
     for i in range(3):
         if (hi[i] - lo[i]) * s > 2 * _ENUM_AXIS_BOUND:
             raise ValueError("enumeration box exceeds the per-axis bound")
-    gram = instance.form.gram()
-    solve = next((i for i in (2, 1, 0) if gram[i][i] != 0), None)
-    if solve is None:
+    perm = instance.form.solve_order()
+    if perm is None:
         raise ValueError("sliced enumeration needs a nonzero square coefficient; a11 = a22 = a33 = 0")
-    perm = [i for i in range(3) if i != solve] + [solve]
-    m = [[gram[i][j] for j in perm] for i in perm]
-    a11, a22, a33, a12, a13, a23 = m[0][0], m[1][1], m[2][2], 2 * m[0][1], 2 * m[0][2], 2 * m[1][2]
+    a11, a22, a33, a12, a13, a23 = instance.form.permuted(perm).coefficients()
     # largest |x1|, |x2| in the box: every int64 term below is bounded by
     # the same terms in absolute value at these corners
     X1, X2 = (max(abs(math.ceil(lo[i] * s)), abs(math.floor(hi[i] * s))) for i in perm[:2])
@@ -158,33 +163,38 @@ def _solutions_sliced(instance: ProblemInstance) -> np.ndarray:
     lo3, hi3 = math.ceil(lo[perm[2]] * s), math.floor(hi[perm[2]] * s)
     lam3 = lam[perm[2]]
 
+    # the x1-only and x2-only terms of bb and disc, once per axis
+    b1, c1, s1 = a13 * ax1, a12 * ax1, a11 * ax1 * ax1
+    b2, s2 = a23 * ax2, a22 * ax2 * ax2 - mN
     cols = max(1, min(len(ax2), _BLOCK_PAIRS))
     rows = _BLOCK_PAIRS // cols
-    blocks = [np.empty((0, 3), dtype=np.int64)]
+    # (x1, x2, bb, root) of every pair whose disc is a perfect square
+    found = [(np.empty(0, dtype=np.int64),) * 4]
     for i in range(0, len(ax1), rows):
-        x1 = ax1[i : i + rows, None]
+        i1 = slice(i, i + rows)
         for j in range(0, len(ax2), cols):
-            x2 = ax2[None, j : j + cols]
-            bb = a13 * x1 + a23 * x2
-            disc = bb * bb - 4 * a33 * (a11 * x1 * x1 + a22 * x2 * x2 + a12 * x1 * x2 - mN)
+            i2 = slice(j, j + cols)
+            bb = b1[i1, None] + b2[None, i2]
+            # every partial sum is bounded by the termwise bound above
+            disc = c1[i1, None] * ax2[None, i2]
+            disc += s1[i1, None]
+            disc += s2[None, i2]
+            disc *= -4 * a33
+            disc += bb * bb
             pair = np.flatnonzero(disc >= 0)
             d = disc.ravel()[pair]
-            r = _isqrt_floor(d)
+            r = _square_root(d)
             exact = r * r == d
-            pair, r = pair[exact], r[exact]
-            num = -bb.ravel()[pair, None] + r[:, None] * np.array([1, -1])
-            x3 = num // (2 * a33)
-            keep = (
-                (num % (2 * a33) == 0)
-                & ((x3 - lam3) % L == 0)
-                & (lo3 <= x3)
-                & (x3 <= hi3)
-            )
-            keep[:, 1] &= r > 0
-            k, root = np.nonzero(keep)
-            row, col = np.divmod(pair[k], disc.shape[1])
-            blocks.append(np.stack([ax1[i + row], ax2[j + col], x3[k, root]], axis=1))
-    y = np.concatenate(blocks)
+            pair = pair[exact]
+            row, col = np.divmod(pair, disc.shape[1])
+            found.append((ax1[i + row], ax2[j + col], bb.ravel()[pair], r[exact]))
+    x1, x2, bb, r = (np.concatenate(part) for part in zip(*found))
+    num = -bb[:, None] + r[:, None] * np.array([1, -1])
+    x3 = num // (2 * a33)
+    keep = (num % (2 * a33) == 0) & ((x3 - lam3) % L == 0) & (lo3 <= x3) & (x3 <= hi3)
+    keep[:, 1] &= r > 0
+    k, root = np.nonzero(keep)
+    y = np.stack([x1[k], x2[k], x3[k, root]], axis=1)
     pts = np.empty_like(y)
     pts[:, perm] = y
     return pts[np.lexsort(pts.T[::-1])]
@@ -426,6 +436,7 @@ class PredictionReport:
     square_disc: bool
     singular_integral: float
     singular_integral_error: float
+    singular_evidence: SingularIntegral  # coarea cross-check and mollifier ladder
     series: SingularSeries
     l_value: float | None  # L(1, psi0), None in the square case
     h_values: tuple[int, ...]
@@ -439,6 +450,13 @@ class PredictionReport:
             "square_disc": self.square_disc,
             "singular_integral": self.singular_integral,
             "singular_integral_error": self.singular_integral_error,
+            "singular_integral_converged": self.singular_evidence.converged,
+            "singular_integral_ladder": [
+                {"eps": e, "nodes": n} for e, n in self.singular_evidence.ladder
+            ],
+            "coarea_value": self.singular_evidence.coarea_value,
+            "coarea_error": self.singular_evidence.coarea_error,
+            "coarea_axis": self.singular_evidence.coarea_axis,
             "singular_series": self.series.value,
             "series_drift": self.series.drift,
             "obstructed_at": self.series.obstructed_at,
@@ -511,6 +529,7 @@ def predict_main(
         square_disc=square,
         singular_integral=si.value,
         singular_integral_error=si.error,
+        singular_evidence=si,
         series=series,
         l_value=lval,
         h_values=tuple(h_values),

@@ -104,6 +104,23 @@ class QForm:
     def coefficients(self) -> tuple[int, int, int, int, int, int]:
         return (self.a11, self.a22, self.a33, self.a12, self.a13, self.a23)
 
+    def solve_order(self) -> tuple[int, int, int] | None:
+        """Coordinate order (i, j, k) for a quadratic solve along x_k, the
+        last axis with a nonzero square coefficient; None when
+        a11 = a22 = a33 = 0."""
+        m = self.gram()
+        k = next((i for i in (2, 1, 0) if m[i][i] != 0), None)
+        if k is None:
+            return None
+        i, j = (a for a in range(3) if a != k)
+        return i, j, k
+
+    def permuted(self, order) -> "QForm":
+        """The same form in the coordinates y_a = x_{order[a]}."""
+        m = self.gram()
+        i, j, k = order
+        return QForm(m[i][i], m[j][j], m[k][k], 2 * m[i][j], 2 * m[i][k], 2 * m[j][k])
+
 
 def evaluate(form: QForm, x) -> int:
     """Exact integer value F(x); rejects results beyond 128-bit signed."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,7 +22,6 @@ from qdelta.arch import (
     _gl_axis,
     _gl_box,
     _mollified,
-    _mollifier_grid,
     _trapezoid_box,
     coarea_integral,
     delta_symbol,
@@ -29,7 +29,7 @@ from qdelta.arch import (
     osc_integral,
     singular_integral,
 )
-from qdelta.qform import form_values
+from qdelta.qform import QForm, form_values
 
 from conftest import HYP_CENTER, make_instance
 
@@ -283,6 +283,25 @@ class TestOscIntegral:
         assert abs(v.conjugate() - w) < 1e-10
 
 
+def mollifier_grid_oracle(instance, nodes: int):
+    """(w, F - m0, Gauss-Legendre weights) on the whole nodes^3 support box:
+    the full-grid oracle of arch._mollified's slab walk."""
+    axes, wts = _gl_box(instance.weight, (nodes, nodes, nodes))
+    grid = np.ix_(*axes)
+    w = instance.weight.values(*grid)
+    y = form_values(instance.form, *grid)
+    y -= instance.m0
+    return w, y, wts
+
+
+def mollified_oracle(grid, eps: float) -> float:
+    """int w(t) phi_eps(F(t) - m0) dt with a Gaussian phi_eps, as one einsum
+    over a mollifier_grid_oracle grid."""
+    w, y, wts = grid
+    amp = w * np.exp(-0.5 * (y / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
+    return float(np.einsum("ijk,i,j,k->", amp, wts[0], wts[1], wts[2]))
+
+
 class TestSingularIntegral:
     def test_mollifier_vs_coarea(self):
         inst = make_instance()
@@ -296,28 +315,81 @@ class TestSingularIntegral:
         si = singular_integral(inst)
         assert abs(si.value) < 1e-10
 
-    def test_one_grid_per_node_count(self, monkeypatch):
-        # at cap 128 eps = 0.2, 0.1, 0.05 take 120, 128 and 128 nodes; the
-        # shared 128-node grid and the in-place Gaussian give the bits of
-        # one grid per eps and the plain expression
+    def test_one_grid_per_node_count(self, monkeypatch, sphere_instance):
+        # at cap 128 eps = 0.2, 0.1, 0.05 take 120, 128 and 128 nodes: one
+        # pass serves 0.2 and one serves 0.1 and 0.05 together, and each
+        # value is the full-grid oracle's
+        real = arch._mollified
+        for inst in (make_instance(), sphere_instance):
+            passes, vals = [], []
+
+            def counting(instance, nodes, widths):
+                passes.append((nodes, list(widths)))
+                vals.extend(real(instance, nodes, widths))
+                return vals[-len(widths):]
+
+            monkeypatch.setattr(arch, "_mollified", counting)
+            si = singular_integral(inst, QuadratureSpec(max_nodes=128))
+            assert passes == [(120, [0.2]), (128, [0.1, 0.05])]
+            assert si.ladder == ((0.2, 120), (0.1, 128), (0.05, 128))
+            want = [mollified_oracle(mollifier_grid_oracle(inst, n), e) for e, n in si.ladder]
+            for got, ref in zip(vals, want):
+                assert abs(got - ref) <= 1e-13 * abs(ref)
+            r1, r2 = (4.0 * want[1] - want[0]) / 3.0, (4.0 * want[2] - want[1]) / 3.0
+            assert abs(si.value - r2) <= 1e-13 * abs(r2)
+            assert abs(si.error - abs(r2 - r1)) <= 1e-13 * abs(r2)
+
+    @pytest.mark.parametrize("profile", ["ball", "box"])
+    @pytest.mark.parametrize("slab", [7, 50, 300, None], ids=["7", "50", "300", "whole"])
+    def test_streamed_ladder_matches_full_grid(self, monkeypatch, profile, slab):
+        # slabs of 7 points are single x3 lines, 50 splits x1 rows along x2,
+        # 300 takes two whole rows, and None the whole grid in one slab
+        inst = make_instance(coeffs=(1, 1, -1, 2, 0, -2), profile=profile)
+        n, widths = 11, [0.3, 0.15, 0.075]
+        monkeypatch.setattr(arch, "_SLAB_POINTS", slab or n**3)
+        got = _mollified(inst, n, widths)
+        grid = mollifier_grid_oracle(inst, n)
+        for value, e in zip(got, widths):
+            want = mollified_oracle(grid, e)
+            assert want > 0
+            assert abs(value - want) <= 1e-13 * want
+
+    def test_memory_is_slab_sized(self):
+        # the full-grid ladder held three 320^3 float64 arrays, 750 MiB
         inst = make_instance()
-        real = arch._mollifier_grid
-        built = []
+        tracemalloc.start()
+        try:
+            si = singular_integral(inst, QuadratureSpec(max_nodes=320))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert si.ladder[-1][1] == 320
+        assert peak < 16 * 2**20, peak
 
-        def counting(instance, nodes):
-            built.append(nodes)
-            return real(instance, nodes)
+    def test_coarea_solves_along_a_nonzero_square(self):
+        # x^2 - y^2 + 2yz (det -1) has a33 = 0: the sheets are solved along
+        # y, and the two routes are independent.  The y-discriminant
+        # 4(x^2 + z^2 - 1) stays positive inside the support, so no fold of
+        # the sheets slows the coarea rule
+        inst = make_instance(coeffs=(1, -1, 0, 0, 0, 2), center=(1.6, 1.5845, 0.3))
+        assert inst.form.solve_order() == (0, 2, 1)
+        si = singular_integral(inst)
+        assert si.coarea_axis == 1
+        assert (si.coarea_value, si.coarea_error) == coarea_integral(inst)
+        assert si.coarea_value != si.value
+        assert si.value > 0.05
+        assert si.converged
+        assert si.consistent()
+        assert abs(si.value - si.coarea_value) < 1e-5 * si.value
 
-        monkeypatch.setattr(arch, "_mollifier_grid", counting)
-        si = singular_integral(inst, QuadratureSpec(max_nodes=128))
-        assert built == [120, 128]
-        v = []
-        for e, n in ((0.2, 120), (0.1, 128), (0.05, 128)):
-            w, y, wts = real(inst, n)
-            amp = w * np.exp(-0.5 * (y / e) ** 2) / (e * math.sqrt(2.0 * math.pi))
-            v.append(float(np.einsum("ijk,i,j,k->", amp, *wts)))
-        r1, r2 = (4.0 * v[1] - v[0]) / 3.0, (4.0 * v[2] - v[1]) / 3.0
-        assert (si.value, si.error) == (r2, abs(r2 - r1))
+    def test_coarea_needs_a_square_coefficient(self):
+        inst = make_instance(coeffs=(0, 0, 0, 2, 2, 2), center=(0.6, 0.6, 0.6))
+        assert inst.form.solve_order() is None
+        with pytest.raises(ValueError):
+            coarea_integral(inst)
+        si = singular_integral(inst, QuadratureSpec(max_nodes=48))
+        assert si.coarea_axis is None
+        assert (si.coarea_value, si.coarea_error) == (si.value, si.error)
 
     def test_form_range_covers_samples(self):
         inst = make_instance()
@@ -430,7 +502,7 @@ class TestGridLayer:
             gauss = math.exp(-0.5 * (y / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
             total += wts[0][i] * wts[1][j] * wts[2][k] * _weight_ref(inst.weight, t) * gauss
         assert total > 0
-        assert abs(_mollified(_mollifier_grid(inst, n), eps) - total) <= 1e-12 * total
+        assert abs(_mollified(inst, n, [eps])[0] - total) <= 1e-12 * total
 
 
 class TestGaussLegendreRule:

@@ -92,8 +92,18 @@ class TestSubcommands:
         # at a 48-node cap the identity check may fail (exit 1); both runs agree
         assert codes[0] == codes[1] and codes[0] in (0, 1)
         assert (out1 / "compare.json").read_bytes() == (out2 / "compare.json").read_bytes()
-        (check,) = json.loads((out1 / "compare.json").read_text())["identity_checks"]
+        doc = json.loads((out1 / "compare.json").read_text())
+        (check,) = doc["identity_checks"]
         assert check["capped_q"][0] == 1
+        # the singular integral's evidence: the coarea cross-check, solved
+        # along x3 here, and the mollifier ladder at the 48-node cap
+        report = doc["report"]
+        assert report["coarea_axis"] == 2
+        assert report["singular_integral_ladder"] == [
+            {"eps": 0.2, "nodes": 48}, {"eps": 0.1, "nodes": 48}, {"eps": 0.05, "nodes": 48}]
+        assert report["singular_integral_converged"] in (True, False)
+        assert abs(report["coarea_value"] - report["singular_integral"]) <= (
+            report["coarea_error"] + report["singular_integral_error"] + 1e-9)
         assert all(check["nodes_per_q"][q - 1] == 48 for q in check["capped_q"])
 
     def test_compare_lists_skipped_identity_checks(self, cfg_file, tmp_path, capsys):

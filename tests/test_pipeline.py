@@ -20,7 +20,7 @@ from qdelta.arch import (
 from qdelta.expsums import sqc_grid, sqc_table_peak
 from qdelta.pipeline import (
     PredictionReport,
-    _isqrt_floor,
+    _square_root,
     _solutions_sliced,
     _solutions_triple,
     default_c_max,
@@ -153,11 +153,20 @@ class TestEnumeration:
         assert res.raw_count == sum(v > 0.0 for v in vals)
 
     def test_isqrt_fixup_exact(self):
+        # the rounded root is exact on every perfect square below 2^62, and
+        # its square misses every other d
+        def is_square(v):
+            return math.isqrt(v) ** 2 == v
+
         for r in (2**26, 2**26 + 1, 2**30 - 1, 2**30, 2**31 - 1):
-            d = np.array([r * r - 1, r * r, r * r + 1], dtype=np.int64)
-            assert _isqrt_floor(d).tolist() == [math.isqrt(int(v)) for v in d]
+            d = np.array([r * r - 1, r * r, r * r + 1, 2**62 - 1], dtype=np.int64)
+            root = _square_root(d)
+            assert root[1] == r
+            assert (root * root == d).tolist() == [is_square(int(v)) for v in d]
         d = np.arange(0, 10**5, dtype=np.int64)
-        assert _isqrt_floor(d).tolist() == [math.isqrt(v) for v in range(10**5)]
+        root = _square_root(d)
+        assert (root * root == d).tolist() == [is_square(v) for v in range(10**5)]
+        assert all(root[v * v] == v for v in range(317))
 
     def test_discriminant_overflow_preflight(self):
         # inside the per-axis box bound, but 4 a33 a11 x1^2 is far beyond 2^62
@@ -386,6 +395,7 @@ class TestPredictions:
             square_disc=rep.square_disc,
             singular_integral=rep.singular_integral,
             singular_integral_error=rep.singular_integral_error,
+            singular_evidence=rep.singular_evidence,
             series=rep.series,
             l_value=rep.l_value,
             h_values=rep.h_values[:2],

@@ -64,6 +64,23 @@ class TestQForm:
             # evaluate dual at the integer gradient and compare with 4 det F(x)
             assert evaluate(dual, g) == 4 * form.det() * evaluate(form, x)
 
+    @pytest.mark.parametrize("coeffs, order", [
+        ((1, 1, -1), (0, 1, 2)),
+        ((1, -1, 0, 0, 0, 2), (0, 2, 1)),
+        ((3, 0, 0, 2, 2, 2), (1, 2, 0)),
+        ((0, 0, 0, 2, 2, 2), None),
+    ])
+    def test_solve_order_and_permuted_form(self, coeffs, order):
+        form = QForm(*coeffs)
+        assert form.solve_order() == order
+        if order is None:
+            return
+        moved = form.permuted(order)
+        assert moved.coefficients()[2] != 0
+        assert moved.det() == form.det()
+        for x in ((1, 0, 0), (2, -1, 3), (5, 7, -2)):
+            assert moved([x[i] for i in order]) == form(x)
+
     def test_overflow_guard(self):
         form = QForm.diagonal(1, 1, 1)
         with pytest.raises(OverflowError):
