@@ -9,9 +9,10 @@ uniform trapezoid rule for the expansion side (pipeline.poisson_rhs).  Its
 amplitude vanishes with all its derivatives on the box edge, so the trapezoid
 rule converges spectrally with about 2 nodes per phase cycle.  The kernel
 amplitude and the singular integral's Gaussian mollifier both walk their
-grids in slabs of at most _SLAB_POINTS grid points (_slabs), so their memory
-is O(slab) at any node count; the mollifier makes one pass per node count
-for every width on it.  The Gauss-Legendre reference rule on [-1, 1] is
+grids in slabs of at most _SLAB_POINTS grid points (_slabs).  Each amplitude
+slab is contracted along x3 at once, so no n^3 array exists and the memory
+of an integral is O(slab + frequencies n^2); the mollifier makes one pass
+per node count for every width on it, in O(slab).  The Gauss-Legendre reference rule on [-1, 1] is
 computed once per node count and cached in-process; each grid maps it onto
 its own interval.
 
@@ -303,7 +304,9 @@ _MOLLIFIER_EPS0 = 0.2
 # grid points per slab of _amplitude_grid and _mollified: 512 KiB per float64
 # temporary.  Measured on the identity and osc_monitor inputs (2^14 to 2^20
 # and one block): peak RSS grows with the slab above 2^16, time is flat or
-# worse
+# worse.  With each slab contracted at once, 2^14 cuts osc_monitor's minor
+# page faults per round from 24k to 3.8k but runs slower there and on
+# identity (4x the slabs, each with its own call overhead)
 _SLAB_POINTS = 1 << 16
 
 
@@ -388,32 +391,46 @@ def _slabs(nodes):
             yield slice(i, i + rows), slice(j, j + cols)
 
 
+def _axis_factors(axes, wts, freqs, r: float) -> list[np.ndarray]:
+    """Quadrature-weighted phase matrices P_i[a, j] = w_j e_r(-f_a t_j) along
+    each axis, one row per frequency f_a in freqs[i]."""
+    return [np.exp(-2j * np.pi * np.outer(f, x) / r) * w for f, x, w in zip(freqs, axes, wts)]
+
+
 def _amplitude_grid(
     instance: ProblemInstance,
     kernel: DeltaKernel,
     r: float,
     nodes: tuple[int, int, int],
+    factors,
     yscale: float = 1.0,
     *,
     box=_gl_box,
-    out: np.ndarray | None = None,
-):
-    """Weighted kernel amplitude w(t) h(r, yscale*(F(t)-m0)) on the tensor
+) -> np.ndarray | None:
+    """U[a, b, c] = sum_ijk P0[a, i] P1[b, j] P2[c, k] A[i, j, k] for the
+    weighted kernel amplitude A = w(t) h(r, yscale*(F(t)-m0)) on the tensor
     grid `box(weight, nodes)` (Gauss-Legendre by default, or _trapezoid_box)
-    over the weight support box; returns (axes, axis weights, amplitude
-    array).  yscale != 1 arises when the kernel scale is decoupled from the
+    over the weight support box, with the complex factors
+    (P0, P1, P2) = factors(axes, axis weights); None when A is 0 everywhere.
+    yscale != 1 arises when the kernel scale is decoupled from the
     geometric scale sqrt(N)/L.
 
-    The grid is filled slab by slab (_slabs), so every temporary of w,
-    F - m0 and h_many is slab-sized.  The values are bit-identical to one
-    evaluation over the whole grid, because each value depends on its own
-    point alone: w and F are pointwise, and h_many gives a point the scalar
-    C(r) less its own window's terms, summed in j order whichever other
-    points share the call.  The amplitude is written into `out` when given (a contiguous
-    float64 array with at least n0 n1 n2 entries; its leading ones are
-    used)."""
+    A is never held whole.  Each slab (_slabs) computes w, F - m0 and h_many
+    as one evaluation over the whole grid would (each value depends on its
+    own point alone: w and F are pointwise, and h_many gives a point the
+    scalar C(r) less its own window's terms), and is contracted at once
+    along x3 by one real GEMM into its own rows of the complex (n0 n1, m2)
+    intermediate.  Then x2 (complex matmuls per x1 node) and x1 (one
+    complex GEMM) follow, so memory is O(slab + m2 n0 n1 + m1 m2 n0)."""
     axes, wts = box(instance.weight, nodes)
-    amp = np.empty(nodes) if out is None else out.reshape(-1)[: math.prod(nodes)].reshape(nodes)
+    p0, p1, p2 = factors(axes, wts)
+    n0, n1, n2 = nodes
+    # P2^T as float64 columns (Re, Im) per row of P2: a real slab times it
+    # is the x3 stage, and its rows read back as complex
+    p2 = np.ascontiguousarray(p2.T).view(np.float64)
+    t = np.empty((n0 * n1, p2.shape[1]))
+    live = False
+    row = 0  # _slabs runs in C order, so each slab's rows follow the last
     for s0, s1 in _slabs(nodes):
         grid = np.ix_(axes[0][s0], axes[1][s1], axes[2])
         slab = instance.weight.values(*grid)
@@ -421,26 +438,14 @@ def _amplitude_grid(
         if np.any(mask):
             y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
             slab[mask] *= kernel.h_many(r, y)
-        amp[s0, s1] = slab
-    return axes, wts, amp
-
-
-def _axis_factors(axes, wts, freqs, r: float) -> list[np.ndarray]:
-    """Quadrature-weighted phase matrices P_i[a, j] = w_j e_r(-f_a t_j) along
-    each axis, one row per frequency f_a in freqs[i]."""
-    return [np.exp(-2j * np.pi * np.outer(f, x) / r) * w for f, x, w in zip(freqs, axes, wts)]
-
-
-def _contract_axes(amp: np.ndarray, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """T[a, b, c] = sum_ijk p0[a, i] p1[b, j] p2[c, k] amp[i, j, k] for a real
-    (n0, n1, n2) amplitude and complex (m_i, n_i) factors.
-
-    The first stage is one real GEMM against the stacked real and imaginary
-    parts of p0, so the n0 n1 n2 amplitude is never copied to complex; the
-    other two stages are complex matmuls on the (m0, n1, n2) intermediate."""
-    n0, n1, n2 = amp.shape
-    t = (np.concatenate([p0.real, p0.imag]) @ amp.reshape(n0, n1 * n2)).reshape(2, -1, n1, n2)
-    return (p1 @ (t[0] + 1j * t[1])) @ p2.T
+            live = live or bool(np.any(slab))
+        rows = slab.shape[0] * slab.shape[1]
+        np.matmul(slab.reshape(rows, n2), p2, out=t[row : row + rows])
+        row += rows
+    if not live:
+        return None
+    t = p1 @ t.view(np.complex128).reshape(n0, n1, -1)
+    return (p0 @ t.reshape(n0, -1)).reshape(len(p0), len(p1), -1)
 
 
 def osc_cycles(instance: ProblemInstance, r: float, b) -> float:
@@ -464,9 +469,12 @@ def osc_integral(
     if kernel is None:
         kernel = DeltaKernel(Q=max(float(instance.Q), 1.0 + 1e-9))
 
+    def factors(axes, wts):
+        return _axis_factors(axes, wts, [[bi] for bi in b], r)
+
     def value(n: int) -> complex:
-        axes, wts, amp = _amplitude_grid(instance, kernel, r, (n, n, n))
-        return _contract_axes(amp, *_axis_factors(axes, wts, [[bi] for bi in b], r)).item()
+        u = _amplitude_grid(instance, kernel, r, (n, n, n), factors)
+        return 0j if u is None else u.item()
 
     n = quad.nodes_for(osc_cycles(instance, r, b), 2.0 * form_range(instance) / r)
     fine = min(quad.max_nodes, int(math.ceil(n * _GL_REFINE)) + 1)

@@ -200,9 +200,10 @@ def _write_json(outdir: Path, name: str, doc: dict) -> Path:
 
 
 def cmd_count(args, cfg) -> int:
+    if "strategy" in cfg:
+        raise ConfigError("config field strategy: no longer read; remove it")
     instance = build_instance(cfg)
-    strategy = cfg.get("strategy", "sliced")
-    result = enumerate_gamma(instance, strategy)
+    result = enumerate_gamma(instance)
     doc = _echo(
         args,
         cfg,
@@ -211,7 +212,6 @@ def cmd_count(args, cfg) -> int:
             "N": result.N,
             "weighted": result.weighted,
             "raw_count": result.raw_count,
-            "strategy": result.strategy,
             "wall_time": 0.0 if args.deterministic else result.wall_time,
         },
     )

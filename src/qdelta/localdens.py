@@ -149,6 +149,15 @@ def count_solutions(
     return total
 
 
+def _valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def _is_clean(instance: ProblemInstance, p: int) -> bool:
     return (2 * instance.form.det() * instance.m0 * instance.L) % p != 0
 
@@ -157,12 +166,7 @@ def _hensel_certified(instance: ProblemInstance, p: int, k: int) -> bool:
     """Every solution mod p^k has a gradient of p-valuation mu with
     k >= 2 mu + 1, so each lifts consistently to all higher levels."""
     pk = p**k
-    ell = 0
-    L = instance.L
-    while L % p == 0:
-        L //= p
-        ell += 1
-    step = p**ell
+    step = p ** _valuation(instance.L, p)
     lam = tuple(v % step for v in instance.cong.lam)
     form = instance.form
     target = instance.m0 % pk
@@ -188,11 +192,7 @@ def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
         raise ValueError("use sigma_p0_cone at the distinguished prime")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    ell = 0
-    L = instance.L
-    while L % p == 0:
-        L //= p
-        ell += 1
+    ell = _valuation(instance.L, p)
     if _is_clean(instance, p):
         # Gauss's count for a nondegenerate ternary form at odd p prime to
         # m0 det: #{x mod p : x^T M x = m0} = p^2 + p (-m0 det / p).  The
@@ -208,11 +208,7 @@ def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
             certified=True,
             method="gauss-character",
         )
-    threshold = 1
-    tmp = 2 * instance.form.det() * instance.L
-    while tmp % p == 0:
-        tmp //= p
-        threshold += 1
+    threshold = 1 + _valuation(2 * instance.form.det() * instance.L, p)
     counts: list[tuple[int, int]] = []
     prev: Fraction | None = None
     k = max(1, ell)
@@ -246,22 +242,18 @@ def sigma_p0_cone(instance: ProblemInstance) -> LocalDensity:
     """
     p = instance.p0
     form = instance.form
-    threshold = 1
-    tmp = 2 * form.det()
-    while tmp % p == 0:
-        tmp //= p
-        threshold += 1
+    threshold = 1 + _valuation(2 * form.det(), p)
     counts: list[tuple[int, int]] = []
+    totals: list[int] = []  # totals[k - 1]: all solutions mod p^k
     prev: Fraction | None = None
     k = 1
     while p**k <= _BOX_BOUND:
-        total = count_solutions(form, 0, p, k)
-        # subtract non-primitive solutions x = p x'
-        if k <= 2:
-            nonprim = p ** (3 * (k - 1))
-        else:
-            nonprim = p**3 * count_solutions(form, 0, p, k - 2)
-        prim = total - nonprim
+        totals.append(count_solutions(form, 0, p, k))
+        # subtract non-primitive solutions x = p x': every x mod p^(k-1)
+        # when k <= 2, else p^3 per solution mod p^(k-2), counted two
+        # levels ago
+        nonprim = p ** (3 * (k - 1)) if k <= 2 else p**3 * totals[k - 3]
+        prim = totals[-1] - nonprim
         counts.append((k, prim))
         rho = Fraction(prim, p ** (2 * k))
         if prev is not None and rho == prev and k - 1 > threshold:

@@ -15,19 +15,18 @@ The expansion evaluates, term by term over (q, c),
 
 on the dual window, the cube |c|_inf <= c_max held as one (2 c_max + 1)^3
 array, with S_q(c) from expsums.sqc_window (S1 in closed form times S2) and
-the oscillatory integral from arch on a per-q amplitude grid shared by all
-c: the uniform trapezoid rule (arch._trapezoid_box, with
-QuadratureSpec.trapezoid_nodes_for per q); node counts never rise with q, so
-one buffer sized at q = 1 holds every q's amplitude.  Before anything is
-allocated, a memory preflight rejects (ValueError) an expansion whose
-largest amplitude, contraction intermediate, window, S_q(c) factor product
-and S2 residue table exceed _MEMORY_BUDGET.  Per q the window of
-e_{qL^2}(c.lam_N) I(c) is one separable contraction of the real amplitude
-with three axis-factor matrices (a real GEMM, then two complex matmuls) over
-the half window c1 >= 0; the other half is its complex conjugate.  Two masks
-split the cube into exceptional and ordinary c, c = 0 is its centre; the
-three partial sums add up to the total by construction.  Nodes per q and the
-capped q are reported too.
+the oscillatory integral from arch on a per-q trapezoid grid
+(arch._trapezoid_box, with QuadratureSpec.trapezoid_nodes_for per q).  Per q
+the window of e_{qL^2}(c.lam_N) I(c) is one pass of arch._amplitude_grid:
+each slab of the real kernel amplitude is contracted along x3 as soon as it
+is computed, then x2 and x1 follow, over the half window c3 >= 0; the other
+half is its complex conjugate.  The amplitude is never held whole.  Before
+anything is allocated, a memory preflight rejects (ValueError) an expansion
+whose amplitude slabs, contraction intermediates, window, S_q(c) factor
+product and S2 residue table exceed _MEMORY_BUDGET.  Two masks split the
+cube into exceptional and ordinary c, c = 0 is its centre; the three partial
+sums add up to the total by construction.  Nodes per q and the capped q are
+reported too.
 """
 
 from __future__ import annotations
@@ -39,12 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import (
+    _SLAB_POINTS,
     DeltaKernel,
     QuadratureSpec,
     SingularIntegral,
     _amplitude_grid,
     _axis_factors,
-    _contract_axes,
     _trapezoid_box,
     form_range,
     singular_integral,
@@ -70,7 +69,6 @@ class EnumerationResult:
     weighted: float
     raw_count: int
     wall_time: float
-    strategy: str
 
     def __post_init__(self):
         if self.raw_count < 0:
@@ -200,31 +198,13 @@ def _solutions_sliced(instance: ProblemInstance) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def _solutions_triple(instance: ProblemInstance) -> np.ndarray:
-    """Full triple loop over the support box; validation strategy."""
-    form = instance.form
-    lo, hi = instance.weight.support_box()
-    s = instance.sqrtN
-    L = instance.L
-    lam = instance.lam_N
-    mN = instance.mN
-    if instance.N > 100 * instance.L**2:
-        raise ValueError("triple-loop strategy reserved for small N")
-    ax1, ax2, ax3 = (_admissible_axis(lo[i], hi[i], lam[i], L, s).tolist() for i in range(3))
-    pts = [(x1, x2, x3) for x1 in ax1 for x2 in ax2 for x3 in ax3 if form((x1, x2, x3)) == mN]
-    return np.array(pts, dtype=np.int64).reshape(-1, 3)
-
-
-def enumerate_gamma(instance: ProblemInstance, strategy: str = "sliced") -> EnumerationResult:
+def enumerate_gamma(instance: ProblemInstance) -> EnumerationResult:
     """Weighted count sum w(x/sqrt(N)) over F(x) = m0 N, x = lam_N mod L.
 
     w is evaluated once on the whole point array; math.fsum is correctly
     rounded, so the sum does not depend on the order of the points."""
-    solutions = {"sliced": _solutions_sliced, "triple": _solutions_triple}.get(strategy)
-    if solutions is None:
-        raise ValueError(f"unknown strategy {strategy!r}")
     t0 = time.perf_counter()
-    pts = solutions(instance)
+    pts = _solutions_sliced(instance)
     values = instance.weight.values(*(pts.T / instance.sqrtN))
     values = values[values > 0.0]
     return EnumerationResult(
@@ -232,7 +212,6 @@ def enumerate_gamma(instance: ProblemInstance, strategy: str = "sliced") -> Enum
         weighted=math.fsum(values),
         raw_count=int(values.size),
         wall_time=time.perf_counter() - t0,
-        strategy=strategy,
     )
 
 
@@ -285,10 +264,14 @@ def default_c_max(instance: ProblemInstance) -> int:
 # bytes poisson_rhs may hold at once; over it, expansion_plan raises
 _MEMORY_BUDGET = 2 << 30
 _TAIL_BUDGET_FRAC = 0.01  # reported shell-mass budget, per unit of sqrt(N)
-# window bytes per dual frequency c in poisson_rhs, an upper bound: masks,
-# S_q(c), contraction and terms peaked at 41 (congruence, c_max = 37) and 32
-# (cross form, c_max = 100) bytes per c, traced at 128 nodes; 16% margin
+# window bytes per dual frequency c in poisson_rhs, an upper bound: the
+# classification, masks, S_q(c) and terms peaked at 35 bytes per c
+# (congruence and obstructed at c_max = 60, hyperboloid at 80, cross form at
+# 100), traced at 24 nodes where the window outweighs the rest; 37% margin
 _WINDOW_BYTES = 48
+# bytes per point of one amplitude slab (w, F - m0 and h_many's working
+# set), an upper bound: traced at 115 on a box weight and 93 on a ball
+_SLAB_BYTES = 128
 
 
 def expansion_plan(
@@ -301,12 +284,14 @@ def expansion_plan(
     """Kernel, q_max, c_max and the trapezoid node count per axis at each
     q = 1..q_max of poisson_rhs, after its memory preflight.
 
-    The preflight counts, in float64 values, the largest amplitude grid
-    (n^3) and the contraction intermediate (2 (c_max + 1) n^2), plus
-    _WINDOW_BYTES per point of the (2 c_max + 1)^3 window and the largest
-    S_q(c) S2 table and factor product (expsums.sqc_table_peak), and raises
-    ValueError above _MEMORY_BUDGET (or on q_max < 1, c_max < 0): nothing
-    is clamped to fit."""
+    The preflight counts, at the largest node count n and m = 2 c_max + 1,
+    the amplitude walk (_SLAB_BYTES per slab point), the contraction over
+    the c3 >= 0 half window (16 (c_max + 1) n^2 bytes after x3, then
+    16 (c_max + 1) n m after x2 and 16 (c_max + 1) m^2 after x1, two stages
+    held at once), _WINDOW_BYTES per point of the m^3 window and the
+    largest S_q(c) S2 table and factor product (expsums.sqc_table_peak),
+    and raises ValueError above _MEMORY_BUDGET (or on q_max < 1,
+    c_max < 0): nothing is clamped to fit."""
     if kernel is None:
         kernel = default_kernel(instance)
     if q_max is None:
@@ -323,11 +308,13 @@ def expansion_plan(
         rp = q / float(instance.Q)  # geometric scale (phase)
         cycles = 2.0 * instance.weight.radius * c_max / (instance.L * rp)
         nodes.append(quad.trapezoid_nodes_for(cycles, 2.0 * yscale * fr / rk))
-    n = max(nodes, default=0)
-    table_qL, table_bytes = sqc_table_peak(instance, q_max, 2 * c_max + 1)
+    n = max(nodes)
+    m = 2 * c_max + 1
+    table_qL, table_bytes = sqc_table_peak(instance, q_max, m)
     need = (
-        8 * (n**3 + 2 * (c_max + 1) * n * n)
-        + _WINDOW_BYTES * (2 * c_max + 1) ** 3
+        _SLAB_BYTES * min(n**3, _SLAB_POINTS)
+        + 16 * (c_max + 1) * (n + m) * max(n, m)
+        + _WINDOW_BYTES * m**3
         + table_bytes
     )
     if need > _MEMORY_BUDGET:
@@ -369,34 +356,34 @@ def poisson_rhs(
     ordinary = 0j
     shell = 0.0
     n_terms = 0
-    # every q's amplitude goes to a prefix of one buffer sized for the most
-    # nodes (q = 1): no q faults in fresh pages for its grid
-    buf = np.empty(max(nodes_per_q, default=0) ** 3)
+    # the c3 >= 0 half of the window: the amplitude is real and the
+    # lam-phase rows are conjugate under c -> -c, so U(-c) = conj U(c)
+    freqs = (cvals, cvals, cvals[c_max:])
     for q, nodes in enumerate(nodes_per_q, 1):
         rk = q / Q  # kernel scale (amplitude)
         rp = q / Qgeo  # geometric scale (phase)
-        axes, wts, amp = _amplitude_grid(
-            instance, kernel, rk, (nodes, nodes, nodes), yscale, box=_trapezoid_box, out=buf
-        )
-        if not np.any(amp):
-            continue
         qL = q * L
         qL2 = q * L * L
-        # U(c) = e_{qL^2}(c.lam) I(c) over the window in one GEMM chain, the
-        # lam-phase folded into the rows of the axis factors:
-        # P[i][a, j] = w_j exp(-2 pi i (c_a / L) t_j / r) e_{qL^2}(c_a lam_i).
-        # The amplitude is real, so U(-c) = conj U(c): contract the c1 >= 0
-        # half and mirror it onto c1 < 0
-        freqs = (cvals[c_max:], cvals, cvals)
-        P = _axis_factors(axes, wts, [f / L for f in freqs], rp)
-        for i in range(3):
-            P[i] *= np.exp(2j * np.pi * ((freqs[i] * lam[i]) % qL2) / qL2)[:, None]
-        U = _contract_axes(amp, *P)
-        U = np.concatenate([np.conj(U[:0:-1, ::-1, ::-1]), U])
-        # prefac S_q(c) U(c) / (qL)^3 in place; U goes before the masked sums copy
+
+        # U(c) = e_{qL^2}(c.lam) I(c) over the half window, the lam-phase
+        # folded into the rows of the axis factors:
+        # P[i][a, j] = w_j exp(-2 pi i (c_a / L) t_j / r) e_{qL^2}(c_a lam_i)
+        def factors(axes, wts):
+            P = _axis_factors(axes, wts, [f / L for f in freqs], rp)
+            for i in range(3):
+                P[i] *= np.exp(2j * np.pi * ((freqs[i] * lam[i]) % qL2) / qL2)[:, None]
+            return P
+
+        U = _amplitude_grid(
+            instance, kernel, rk, (nodes, nodes, nodes), factors, yscale, box=_trapezoid_box
+        )
+        if U is None:
+            continue
+        # prefac S_q(c) U(c) / (qL)^3 in place, U mirrored onto c3 < 0
         terms = sqc_window(instance, q, cvals)
         terms *= prefac
-        terms *= U
+        terms[:, :, c_max:] *= U
+        terms[:, :, :c_max] *= np.conj(U[::-1, ::-1, :0:-1])
         terms /= qL**3
         del U
         zero += complex(terms[c_max, c_max, c_max])
@@ -404,10 +391,9 @@ def poisson_rhs(
         ordinary += complex(terms[ord_mask].sum())
         shell += float(np.abs(terms[shell_mask]).sum())
         n_terms += terms.size
-        # release this q's window-sized arrays before the next q builds its
-        # own: the loop's peak memory is then one q's arrays, not the
-        # previous q's held alongside the next q's contraction
-        del axes, wts, amp, P, terms
+        # release this q's window before the next q builds its own: the
+        # loop's peak memory is then one q's arrays
+        del terms
     return DeltaExpansion(
         Q=Q,
         q_max=q_max,

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from qdelta.arch import WeightSpec
-from qdelta.qform import CongruenceDatum, ProblemInstance, QForm
+from qdelta.arch import WeightSpec, _gl_box
+from qdelta.qform import CongruenceDatum, ProblemInstance, QForm, form_values
 
 HYP_CENTER = (1.25, 0.5, 0.9013878188659973)
 
@@ -24,6 +25,18 @@ def make_instance(
     form = QForm(*coeffs)
     weight = WeightSpec(center=center, radius=radius, profile=profile)
     return ProblemInstance(form, m0, p0, h, CongruenceDatum(L, lam), weight)
+
+
+def amplitude_oracle(inst, kernel, r, nodes, yscale=1.0, box=_gl_box):
+    """(axes, axis weights, A) with the kernel amplitude
+    A = w h(r, yscale (F - m0)) evaluated over the whole `box` grid at once:
+    the full-grid oracle of arch._amplitude_grid's slab walk."""
+    axes, wts = box(inst.weight, nodes)
+    grid = np.ix_(*axes)
+    amp = inst.weight.values(*grid)
+    mask = amp > 0.0
+    amp[mask] *= kernel.h_many(r, yscale * (form_values(inst.form, *grid)[mask] - inst.m0))
+    return axes, wts, amp
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from qdelta.arch import (
     WeightSpec,
     _amplitude_grid,
     _axis_factors,
-    _contract_axes,
     _gl_axis,
     _gl_box,
     _mollified,
@@ -31,7 +30,7 @@ from qdelta.arch import (
 )
 from qdelta.qform import QForm, form_values
 
-from conftest import HYP_CENTER, make_instance
+from conftest import HYP_CENTER, amplitude_oracle, make_instance
 
 
 def delta_symbol_literal(kernel: DeltaKernel, n: int, q_max: int) -> float:
@@ -252,6 +251,14 @@ class TestDeltaSymbol:
             delta_symbol(kern, 100, q_max=3)
 
 
+def contraction_oracle(grid, freqs, r):
+    """sum_ijk P0[a, i] P1[b, j] P2[c, k] A[i, j, k] as one einsum over an
+    amplitude_oracle grid, with the phase factors of the frequency lists."""
+    axes, wts, amp = grid
+    P = _axis_factors(axes, wts, freqs, r)
+    return np.einsum("ai,bj,ck,ijk->abc", *P, amp, optimize=False)
+
+
 class TestOscIntegral:
     def test_decays_in_b(self):
         inst = make_instance()
@@ -270,11 +277,51 @@ class TestOscIntegral:
         inst = make_instance()
         r, b = 0.6, (2, 1, 0)
         val, err = osc_integral(inst, r, b, QuadratureSpec(max_nodes=48))
-        axes, wts, amp = _amplitude_grid(inst, DeltaKernel(Q=float(inst.Q)), r, (48, 48, 48))
-        assert val == _contract_axes(amp, *_axis_factors(axes, wts, [[bi] for bi in b], r)).item()
+        ref = amplitude_oracle(inst, DeltaKernel(Q=float(inst.Q)), r, (48, 48, 48))
+        want = contraction_oracle(ref, [[bi] for bi in b], r).item()
+        assert abs(val - want) <= 1e-13 * abs(want)
         ref, _ = osc_integral(inst, r, b, QuadratureSpec(max_nodes=160))
         assert err > 0
         assert abs(val - ref) <= err
+
+    # (value grid, error grid): capped at 40 nodes, the error grid is
+    # coarser; at r = 2 the rule asks for 40, and the value grid is refined
+    @pytest.mark.parametrize(
+        "r, b, cap, grids",
+        [
+            (0.25, (1, 0, 0), 40, (40, 30)),
+            (0.5, (0, 1, 2), 40, (40, 30)),
+            (1.0, (2, 2, 1), 40, (40, 30)),
+            (2.0, (3, -1, 0), 64, (55, 40)),
+        ],
+    )
+    def test_matches_full_grid_oracle(self, r, b, cap, grids):
+        # the value and its error estimate against the amplitude of each
+        # whole grid contracted by one einsum, to 1e-13 of int |w h|: the
+        # scale of the rounding in a sum that may cancel to a small value
+        inst = make_instance()
+        kernel = DeltaKernel(Q=float(inst.Q))
+        val, err = osc_integral(inst, r, b, QuadratureSpec(max_nodes=cap))
+        ref = amplitude_oracle(inst, kernel, r, (grids[0],) * 3)
+        scale = np.einsum("ijk,i,j,k->", np.abs(ref[2]), *ref[1])
+        coarse = amplitude_oracle(inst, kernel, r, (grids[1],) * 3)
+        want = [contraction_oracle(g, [[bi] for bi in b], r).item() for g in (ref, coarse)]
+        assert abs(val - want[0]) <= 1e-13 * scale
+        assert abs(err - abs(want[0] - want[1])) <= 2e-13 * scale
+
+    def test_memory_is_slab_sized(self):
+        # a whole 320^3 amplitude would take 262 MB alone
+        inst = make_instance()
+        r, b = 1.0, (40, 0, 0)
+        quad = QuadratureSpec(max_nodes=320)
+        assert quad.nodes_for(arch.osc_cycles(inst, r, b), 2.0 * form_range(inst) / r) >= 320
+        tracemalloc.start()
+        try:
+            osc_integral(inst, r, b, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     def test_conjugate_symmetry(self):
         inst = make_instance()
@@ -425,11 +472,20 @@ class TestGridLayer:
 
     @pytest.mark.parametrize("profile", ["ball", "box"])
     def test_amplitude_grid_pointwise(self, profile):
+        # identity factors contract nothing away: U is the amplitude itself
         inst = make_instance(coeffs=(1, 1, -1, 2, 0, -2), L=2, lam=(1, 0, 0), profile=profile)
         kernel = DeltaKernel(Q=5.0)
         r, yscale = 0.5, 0.7
-        axes, wts, amp = _amplitude_grid(inst, kernel, r, (9, 10, 11), yscale)
-        assert amp.shape == (9, 10, 11)
+        nodes = (9, 10, 11)
+        axes, _ = _gl_box(inst.weight, nodes)
+
+        def identity(axes, wts):
+            return [np.eye(n, dtype=complex) for n in nodes]
+
+        amp = _amplitude_grid(inst, kernel, r, nodes, identity, yscale)
+        assert amp.shape == nodes
+        assert not np.any(amp.imag)
+        amp = amp.real
         assert np.count_nonzero(amp) > 50
         for i, j, k in itertools.product(range(9), range(10), range(11)):
             t = (axes[0][i], axes[1][j], axes[2][k])
@@ -446,25 +502,38 @@ class TestGridLayer:
         inst = make_instance(coeffs=(1, 1, -1, 2, 0, -2), L=2, lam=(1, 0, 0), profile=profile)
         kernel = DeltaKernel(Q=5.0)
         nodes, r, yscale = (9, 10, 11), 0.3, 0.7
+        freqs = [[-2.0, 0.0, 1.0, 3.0], [-1.0, 2.0], [0.0, 1.5, -4.0]]
         monkeypatch.setattr(arch, "_SLAB_POINTS", slab or math.prod(nodes))
-        axes, wts, amp = _amplitude_grid(inst, kernel, r, nodes, yscale, box=box)
-        ref_axes, ref_wts = box(inst.weight, nodes)
-        for got, want in zip(axes + wts, ref_axes + ref_wts):
-            assert np.array_equal(got, want)
+        seen = []
+
+        def factors(axes, wts):
+            seen.append((axes, wts))
+            return _axis_factors(axes, wts, freqs, r)
+
+        got = _amplitude_grid(inst, kernel, r, nodes, factors, yscale, box=box)
         # the one-block evaluation, written out: w, F - m0 and h_many over
-        # the whole grid at once, with h_many's j-range set by the whole grid
-        grid = np.ix_(*ref_axes)
-        want = inst.weight.values(*grid)
-        mask = want > 0.0
-        want[mask] *= kernel.h_many(r, yscale * (form_values(inst.form, *grid)[mask] - inst.m0))
-        assert np.count_nonzero(want) > 50
-        assert np.array_equal(amp, want)
-        assert np.array_equal(np.signbit(amp), np.signbit(want))
-        # into a prefix of a larger buffer: the same values, in place
-        buf = np.full(2 * amp.size, np.nan)
-        _, _, into = _amplitude_grid(inst, kernel, r, nodes, yscale, box=box, out=buf)
-        assert np.shares_memory(into, buf)
-        assert np.array_equal(into, want)
+        # the whole grid at once, contracted by one einsum
+        ref = amplitude_oracle(inst, kernel, r, nodes, yscale, box)
+        assert len(seen) == 1
+        for a, b in zip(seen[0][0] + seen[0][1], ref[0] + ref[1]):
+            assert np.array_equal(a, b)
+        assert np.count_nonzero(ref[2]) > 50
+        want = contraction_oracle(ref, freqs, r)
+        assert got.shape == want.shape == (4, 2, 3)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_zero_amplitude_is_none(self):
+        # past the support bound of h over the form's range the amplitude is
+        # 0 everywhere, and nothing is contracted
+        kernel = DeltaKernel(Q=5.0)
+
+        def factors(axes, wts):
+            return _axis_factors(axes, wts, [[0.0]] * 3, 1.0)
+
+        inst = make_instance()
+        r = kernel.support_bound(form_range(inst)) + 1.0
+        assert _amplitude_grid(inst, kernel, r, (8, 8, 8), factors) is None
+        assert _amplitude_grid(inst, kernel, 0.5, (8, 8, 8), factors) is not None
 
     def test_trapezoid_axis_converges_on_bump(self):
         # the bump vanishes with all its derivatives at both ends of its

@@ -75,6 +75,7 @@ class TestSubcommands:
         doc = json.loads((tmp_path / "count.json").read_text())
         assert doc["raw_count"] == 6
         assert doc["wall_time"] == 0.0
+        assert "strategy" not in doc
         assert "config_sha256" in doc
 
     def test_count_deterministic_byte_identical(self, cfg_file, tmp_path):
@@ -235,6 +236,16 @@ class TestSubcommands:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "compare.json").exists()
+
+    @pytest.mark.parametrize("value", ["sliced", "triple"])
+    def test_exit_code_2_on_retired_strategy_key(self, cfg_file, tmp_path, capsys, value):
+        # the count has one enumeration route; the key is refused, not ignored
+        p = tmp_path / "s.cfg"
+        p.write_text(cfg_file.read_text() + f"strategy = {value}\n")
+        rc = main(["count", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "strategy" in capsys.readouterr().err
+        assert not (tmp_path / "count.json").exists()
 
     @pytest.mark.parametrize(
         "extra",

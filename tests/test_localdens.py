@@ -29,6 +29,28 @@ from conftest import HYP_CENTER, make_instance
 SPHERE_CENTER = (1 / 3**0.5,) * 3
 
 
+def _cone_recount(instance) -> LocalDensity:
+    """sigma_p0_cone with the non-primitive count N_(k-2) counted again at
+    every level k >= 3: the written-out oracle of its ladder."""
+    p, form = instance.p0, instance.form
+    threshold = 1
+    tmp = 2 * form.det()
+    while tmp % p == 0:
+        tmp //= p
+        threshold += 1
+    counts, prev, k = [], None, 1
+    while p**k <= localdens._BOX_BOUND:
+        nonprim = p ** (3 * (k - 1)) if k <= 2 else p**3 * count_solutions(form, 0, p, k - 2)
+        prim = count_solutions(form, 0, p, k) - nonprim
+        counts.append((k, prim))
+        rho = Fraction(prim, p ** (2 * k))
+        if prev is not None and rho == prev and k - 1 > threshold:
+            return LocalDensity(p, k - 1, prev * Fraction(p, p - 1), counts[-2][1], tuple(counts),
+                                True, "cone-recurrence")
+        prev, k = rho, k + 1
+    raise ValueError("no cone stabilization")
+
+
 @pytest.fixture(scope="module")
 def hyp3():
     """Hyperboloid with p0 = 3 (square-discriminant branch)."""
@@ -92,6 +114,35 @@ class TestSigmaP:
         c = 1 / 3**0.5
         inst = make_instance(coeffs=(1, 1, 1), p0=2, L=1, center=(c, c, c))
         assert sigma_p0_cone(inst).value == 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(p0=3),
+            dict(coeffs=(1, 1, 1), p0=2, center=SPHERE_CENTER),
+            dict(coeffs=(1, 1, 1), p0=7, center=SPHERE_CENTER),
+            dict(coeffs=(2, 3, 1, 2, 0, 2), m0=3, p0=7, L=2, lam=(0, 1, 0), center=(0.5, 0.4, 0.3)),
+            dict(coeffs=(1, 1, -3), p0=3),
+        ],
+        ids=["hyperboloid-p3", "sphere-p2", "sphere-p7", "cross-p7", "ramified-p3"],
+    )
+    def test_cone_counts_each_level_once(self, monkeypatch, kwargs):
+        # the ladder reads the non-primitive count p^3 N_(k-2) from the level
+        # it counted two steps before: one count_solutions call per level,
+        # and the density of the recount written out
+        inst = make_instance(**kwargs)
+        p, form = inst.p0, inst.form
+        want = _cone_recount(inst)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return count_solutions(*args)
+
+        monkeypatch.setattr(localdens, "count_solutions", counting)
+        got = sigma_p0_cone(inst)
+        assert got == want
+        assert calls == [(form, 0, p, k) for k in range(1, len(got.counts) + 1)]
 
     def test_densities_positive_for_solvable(self, hyp3):
         for p in (5, 7, 11, 13):

@@ -8,21 +8,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdelta import pipeline
+from qdelta import arch, pipeline
 from qdelta.arch import (
+    DeltaKernel,
     QuadratureSpec,
     WeightSpec,
     _amplitude_grid,
-    _contract_axes,
     _trapezoid_box,
     form_range,
 )
 from qdelta.expsums import sqc_grid, sqc_table_peak
 from qdelta.pipeline import (
     PredictionReport,
+    _admissible_axis,
     _square_root,
     _solutions_sliced,
-    _solutions_triple,
     default_c_max,
     default_kernel,
     enumerate_gamma,
@@ -33,7 +33,7 @@ from qdelta.pipeline import (
 )
 from qdelta.qform import CongruenceDatum, ProblemInstance, QForm, _classify_array
 
-from conftest import make_instance
+from conftest import amplitude_oracle, make_instance
 
 
 _CONGRUENCE = dict(L=2, lam=(1, 0, 0))
@@ -76,6 +76,27 @@ def _pair_loop(instance) -> np.ndarray:
     return np.array(pts, dtype=np.int64).reshape(-1, 3)
 
 
+def _solutions_triple(instance: ProblemInstance) -> np.ndarray:
+    """Full triple loop over the support box, for small N only: the
+    independent oracle of the sliced kernel."""
+    form = instance.form
+    lo, hi = instance.weight.support_box()
+    s, L, lam, mN = instance.sqrtN, instance.L, instance.lam_N, instance.mN
+    if instance.N > 100 * L**2:
+        raise ValueError("triple-loop oracle reserved for small N")
+    ax1, ax2, ax3 = (_admissible_axis(lo[i], hi[i], lam[i], L, s).tolist() for i in range(3))
+    pts = [(x1, x2, x3) for x1 in ax1 for x2 in ax2 for x3 in ax3 if form((x1, x2, x3)) == mN]
+    return np.array(pts, dtype=np.int64).reshape(-1, 3)
+
+
+def _triple_count(instance: ProblemInstance) -> tuple[float, int]:
+    """(weighted, raw) count over the triple loop's points."""
+    pts = _solutions_triple(instance)
+    values = instance.weight.values(*(pts.T / instance.sqrtN))
+    values = values[values > 0.0]
+    return math.fsum(values), int(values.size)
+
+
 _SPHERE = dict(coeffs=(1, 1, 1), center=(1 / 3**0.5,) * 3)
 # name -> instance; the cross form at h = 1..3, the hyperboloid (a33 < 0)
 # on one sheet and across z = 0 (both x3 roots of a pair in the box), the
@@ -114,15 +135,10 @@ class TestEnumeration:
         assert enumerate_gamma(inst).raw_count == 0
 
     def test_strategies_agree(self, hyp_instance, cong_instance):
+        # the sliced kernel against the triple-loop oracle
         for inst in (hyp_instance, cong_instance):
-            a = enumerate_gamma(inst, "sliced")
-            b = enumerate_gamma(inst, "triple")
-            assert a.weighted == b.weighted
-            assert a.raw_count == b.raw_count
-
-    def test_unknown_strategy(self, hyp_instance):
-        with pytest.raises(ValueError):
-            enumerate_gamma(hyp_instance, "magic")
+            res = enumerate_gamma(inst)
+            assert (res.weighted, res.raw_count) == _triple_count(inst)
 
     def test_box_bound(self):
         inst = make_instance(h=12)  # sqrt(N) = 5^12 far beyond the box bound
@@ -186,8 +202,7 @@ class TestEnumeration:
         assert len(pts) > 0
         assert np.array_equal(pts, _solutions_triple(inst))
         res = enumerate_gamma(inst)
-        ref = enumerate_gamma(inst, "triple")
-        assert (res.weighted, res.raw_count) == (ref.weighted, ref.raw_count)
+        assert (res.weighted, res.raw_count) == _triple_count(inst)
 
     def test_no_square_coefficient(self):
         inst = make_instance(coeffs=(0, 0, 0, 2, 2, 2), center=(0.5, 0.5, 0.5))
@@ -227,17 +242,23 @@ class TestExpansionBookkeeping:
             pipeline.expansion_plan(hyp_instance, q_max=q_max, c_max=c_max)
 
     def test_preflight_counts_residue_table(self, monkeypatch):
-        # hyperboloid h = 3 up to q = 256 at c_max = 1, 24 nodes: amplitude,
-        # contraction and window take under 1 MiB, while the S2 factor table
-        # of modulus q2 = 256 peaks at 40 * 256^3 bytes = 671 MB.  A 128 MiB
-        # budget passes the former alone and must refuse the sum before any
-        # allocation; up to q = 203 the largest table (q2 = 128) fits
+        # hyperboloid h = 3 up to q = 256 at c_max = 1, 24 nodes: amplitude
+        # slabs, contraction and window take under 2 MiB, while the S2 factor
+        # table of modulus q2 = 256 peaks at 40 * 256^3 bytes = 671 MB.  A
+        # 128 MiB budget passes the former alone and must refuse the sum
+        # before any allocation; up to q = 203 the largest table (q2 = 128)
+        # fits
         inst = make_instance(h=3)
         quad = QuadratureSpec(max_nodes=24)
         n = max(pipeline.expansion_plan(inst, q_max=256, c_max=1, quad=quad)[3])
-        assert 8 * (n**3 + 4 * n * n) + pipeline._WINDOW_BYTES * 27 < 2**20
+        # one slab of n^3 points; the c3 >= 0 half window has c_max + 1 = 2
+        # planes of m = 3 frequencies, and the contraction holds n^2 and n m
+        # of them, then n m and m^2
+        assert n**3 <= arch._SLAB_POINTS
+        rest = pipeline._SLAB_BYTES * n**3 + 16 * 2 * (n + 3) * n + pipeline._WINDOW_BYTES * 27
+        assert rest < 2**21
         assert sqc_table_peak(inst, 256, 3) == (256, 40 * 256**3 + 33 * 27)
-        assert sqc_table_peak(inst, 203, 3)[1] < 2**27 - 2**20
+        assert sqc_table_peak(inst, 203, 3)[1] < 2**27 - 2**21
         monkeypatch.setattr(pipeline, "_MEMORY_BUDGET", 2**27)
         tracemalloc.start()
         try:
@@ -247,6 +268,22 @@ class TestExpansionBookkeeping:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("kwargs", [_CONGRUENCE, _CROSS], ids=["congruence", "cross"])
+    def test_preflight_bounds_traced_peak(self, monkeypatch, kwargs):
+        # the preflight's estimate is an upper bound of what poisson_rhs
+        # really allocates: a budget one byte below the traced peak refuses
+        inst = make_instance(**kwargs)
+        quad = QuadratureSpec(max_nodes=96)
+        tracemalloc.start()
+        try:
+            poisson_rhs(inst, quad=quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(pipeline, "_MEMORY_BUDGET", peak - 1)
+        with pytest.raises(ValueError, match="over the"):
+            pipeline.expansion_plan(inst, quad=quad)
 
     def test_node_cap_reported(self, cong_instance):
         exp = poisson_rhs(cong_instance, q_max=4, quad=QuadratureSpec(max_nodes=48))
@@ -276,7 +313,7 @@ def _tensordot_chain(instance, q_max, c_max, quad):
         nodes = quad.trapezoid_nodes_for(
             2.0 * instance.weight.radius * c_max / (L * rp), 2.0 * yscale * form_range(instance) / rk
         )
-        axes, wts, amp = _amplitude_grid(instance, kernel, rk, (nodes,) * 3, yscale, box=_trapezoid_box)
+        axes, wts, amp = amplitude_oracle(instance, kernel, rk, (nodes,) * 3, yscale, _trapezoid_box)
         qL, qL2 = q * L, q * L * L
         S = sqc_grid(instance, q)[C1 % qL, C2 % qL, C3 % qL]
         P = [np.exp(-2j * np.pi * np.outer(cvals / L, axes[i]) / rp) * wts[i] for i in range(3)]
@@ -293,12 +330,18 @@ def _tensordot_chain(instance, q_max, c_max, quad):
 
 class TestWindowContraction:
     def test_matches_einsum_oracle(self):
+        # random complex factors of unequal shapes, on the trapezoid grid of
+        # the expansion: the streamed contraction against one einsum over
+        # the whole amplitude
         rng = np.random.default_rng(7)
+        inst = make_instance(**_CROSS)
+        kernel = DeltaKernel(Q=5.0)
         n, m = (9, 7, 11), (5, 8, 6)
-        amp = rng.standard_normal(n)
         P = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in zip(m, n)]
-        got = _contract_axes(amp, *P)
+        got = _amplitude_grid(inst, kernel, 0.4, n, lambda axes, wts: P, 0.8, box=_trapezoid_box)
+        amp = amplitude_oracle(inst, kernel, 0.4, n, 0.8, _trapezoid_box)[2]
         ref = np.einsum("ai,bj,ck,ijk->abc", *P, amp, optimize=False)
+        assert np.count_nonzero(amp) > 50
         assert got.shape == m
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
