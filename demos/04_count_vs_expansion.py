@@ -34,7 +34,8 @@ print(f"direct enumeration: {gamma.weighted:.6f}  ({gamma.raw_count} lattice poi
       f"in the window, {gamma.wall_time:.2f}s)")
 exp = poisson_rhs(inst)
 print(f"truncated expansion: {exp.total.real:.6f}  "
-      f"({exp.n_terms} (q, c) terms, q <= {exp.q_max}, |c| <= {exp.c_max})")
+      f"({exp.n_terms} (q, c) terms on the support of S_q(c), q <= {exp.q_max}, "
+      f"|c| <= {exp.c_max})")
 print(f"  zero frequency      {exp.zero_part.real:+.6f}")
 print(f"  exceptional         {exp.exceptional_part.real:+.6f}")
 print(f"  ordinary            {exp.ordinary_part.real:+.6f}")

@@ -364,6 +364,7 @@ def cmd_compare(args, cfg) -> int:
                 "c_max": expansion.c_max,
                 "shell_mass": expansion.shell_mass,
                 "tail_budget": expansion.tail_budget,
+                "terms_per_q": list(expansion.terms_per_q),
                 "nodes_per_q": list(expansion.nodes),
                 "capped_q": list(expansion.capped_q),
                 "abs_error": err,

@@ -19,8 +19,9 @@ whatever list it comes in, so results are reproducible bit-for-bit.
 S_q(c) has one route at every q: S1 at modulus q1 in closed form
 (`_s1_values`, on int64 arrays of c) times the definition-level S2 at
 modulus q2 L, summed per c for a list (`sqc_values`) or gathered from its
-residue table on the dual window (`sqc_window`).  `sqc_grid` (the whole
-(qL)^3 table), `brute_S1`, `brute_S1_grid` and `lemma21_eval` are oracles.
+residue table on the sub-cube of the dual window that its support spans
+(`sqc_window`).  `sqc_grid` (the whole (qL)^3 table), `brute_S1`,
+`brute_S1_grid` and `lemma21_eval` are oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ _CALA_BOUND = 3000
 # amplitude, its complex FFT and the conjugate (40.0 traced at m = 125, 128)
 _TABLE_BYTES = 8 + 16 + 16
 # bytes per point of sqc_window's product at its peak: the complex product and
-# the gathered S2 or the lam-phase's two real temporaries (32.1 traced, 101^3)
+# the gathered S2 or the lam-phase's two real temporaries (32.1 traced, 101^3);
+# the product and the support's sub-cube gathered from it hold 32 at most
 _PRODUCT_BYTES = 8 * 4 + 1
 
 
@@ -452,7 +454,7 @@ def sqc_values(instance: ProblemInstance, q: int, cs) -> list[complex]:
 
 def sqc_table_peak(instance: ProblemInstance, q_max: int, width: int) -> tuple[int, int]:
     """(qL, bytes) at the q = 1..q_max where sqc_window on a cube of side
-    `width` holds the most besides the returned window: _TABLE_BYTES per
+    `width` holds the most besides the returned sub-cube: _TABLE_BYTES per
     residue of the S2 table at modulus q2 L and _PRODUCT_BYTES per point of
     the product, on min(qL, width)^3 points; (0, 0) when q_max < 1."""
     L = instance.L
@@ -464,18 +466,45 @@ def sqc_table_peak(instance: ProblemInstance, q_max: int, width: int) -> tuple[i
     return peak
 
 
-def sqc_window(instance: ProblemInstance, q: int, cvals) -> np.ndarray:
-    """S_q(c) for every c in the cube cvals^3, indexed like the cube: the
-    factor product of sqc_values with S2 gathered from its residue table,
-    on arange(qL)^3 and gathered once when qL < len(cvals), else on
-    cvals^3."""
+def sqc_window(
+    instance: ProblemInstance, q: int, cvals
+) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
+    """S_q(c) on its support in the cube cvals^3, for a window symmetric
+    about 0 (cvals[::-1] == -cvals): (rows, S), with rows[i] the ascending
+    indices into cvals along axis i whose slice of S_q(c) is not identically
+    0, closed under c -> -c, and S the values on the sub-cube np.ix_(*rows);
+    None when S_q(c) is 0 on the whole window.
+
+    The values are the factor product of sqc_values, with S2 gathered from
+    its residue table.  When qL < len(cvals) the product is taken on
+    arange(qL)^3, the rows are found on that residue table and only the
+    sub-cube is gathered; else it is taken on cvals^3.  The support is read
+    off the exact zeros of that product: every c left out of the sub-cube
+    has a product of exactly 0."""
     cvals = np.asarray(cvals, dtype=np.int64)
+    if np.any(cvals[::-1] != -cvals):
+        raise ValueError("sqc_window needs a window symmetric about 0")
     L = instance.L
-    axis = np.arange(q * L, dtype=np.int64) if q * L < len(cvals) else cvals
+    qL = q * L
+    residues = qL < len(cvals)
+    axis = np.arange(qL, dtype=np.int64) if residues else cvals
     q1, q2 = crt_split(instance, q)
-    out = _s1_values(instance, q1, q2, *np.ix_(axis, axis, axis))
+    vals = _s1_values(instance, q1, q2, *np.ix_(axis, axis, axis))
     if q2 * L > 1:
         r = axis % (q2 * L)
         s2 = _amplitude_table(instance.form, q2, L, L * q1, instance.lam_N, instance.mN)
-        out *= s2[np.ix_(r, r, r)]
-    return out if axis is cvals else out[np.ix_(*[cvals % (q * L)] * 3)]
+        vals *= s2[np.ix_(r, r, r)]
+    nonzero = vals != 0
+    if residues:  # only the residues the window reaches count
+        off = np.ones(qL, dtype=bool)
+        off[cvals % qL] = False
+        nonzero[off] = nonzero[:, off] = nonzero[:, :, off] = False
+    live = [nonzero.any(axis=other) for other in ((1, 2), (0, 2), (0, 1))]
+    del nonzero
+    if not live[0].any():
+        return None
+    if residues:
+        live = [row[cvals % qL] for row in live]
+    # c and -c sit at mirrored indices of the window
+    rows = tuple(np.flatnonzero(row | row[::-1]) for row in live)
+    return rows, vals[np.ix_(*([cvals[r] % qL for r in rows] if residues else rows))]

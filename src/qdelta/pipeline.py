@@ -13,20 +13,24 @@ The expansion evaluates, term by term over (q, c),
 
     (sqrt(N)/L) * S_q(c) * e_{qL^2}(c.lam_N) * I_{q/Q}(w; c/L) / (qL)^3,
 
-on the dual window, the cube |c|_inf <= c_max held as one (2 c_max + 1)^3
-array, with S_q(c) from expsums.sqc_window (S1 in closed form times S2) and
-the oscillatory integral from arch on a per-q trapezoid grid
-(arch._trapezoid_box, with QuadratureSpec.trapezoid_nodes_for per q).  Per q
-the window of e_{qL^2}(c.lam_N) I(c) is one pass of arch._amplitude_grid:
-each slab of the real kernel amplitude is contracted along x3 as soon as it
-is computed, then x2 and x1 follow, over the half window c3 >= 0; the other
-half is its complex conjugate.  The amplitude is never held whole.  Before
-anything is allocated, a memory preflight rejects (ValueError) an expansion
-whose amplitude slabs, contraction intermediates, window, S_q(c) factor
-product and S2 residue table exceed _MEMORY_BUDGET.  Two masks split the
-cube into exceptional and ordinary c, c = 0 is its centre; the three partial
-sums add up to the total by construction.  Nodes per q and the capped q are
-reported too.
+on the dual window, the cube |c|_inf <= c_max, but only on the part that the
+support of S_q(c) spans.  Per q, expsums.sqc_window (S1 in closed form times S2) gives S_q(c)
+first, on the sub-cube its support spans: the window rows whose slice of
+S_q(c) is not identically 0, closed under c -> -c.  A q without support is
+skipped before any amplitude is evaluated.  The oscillatory integral comes
+from arch on a per-q trapezoid grid (arch._trapezoid_box, with
+QuadratureSpec.trapezoid_nodes_for per q).  Per q, e_{qL^2}(c.lam_N) I(c) on
+the sub-cube is one pass of arch._amplitude_grid, whose axis factors hold the
+supported rows only: each slab of the real kernel amplitude is contracted
+along x3 as soon as it is computed, then x2 and x1 follow, over the supported
+c3 >= 0; U(-c) = conj U(c) gives the rest.  The amplitude is never held
+whole.  Before anything is allocated, a memory preflight rejects
+(ValueError) an expansion whose amplitude slabs, contraction intermediates,
+window, S_q(c) factor product and S2 residue table exceed _MEMORY_BUDGET.
+Two masks over the window split it into exceptional and ordinary c, c = 0 is
+its centre, and each q reads them on its sub-cube; the three partial sums add
+up to the total by construction.  Nodes per q, the capped q and the terms
+evaluated per q are reported too.
 """
 
 from __future__ import annotations
@@ -93,13 +97,20 @@ class DeltaExpansion:
     ordinary_part: complex
     shell_mass: float  # |c|_inf = c_max shell contribution (truncation proxy)
     tail_budget: float
-    n_terms: int
+    # (q, c) terms evaluated at q = 1..q_max: the size of the sub-cube that
+    # S_q(c)'s support spans in the window, 0 at a q whose S_q(c) or
+    # amplitude is 0 throughout
+    terms_per_q: tuple[int, ...]
     nodes: tuple[int, ...]  # quadrature nodes per axis at q = 1..q_max
     capped_q: tuple[int, ...]  # the q whose node count sits at quad.max_nodes
 
     @property
     def total(self) -> complex:
         return self.zero_part + self.exceptional_part + self.ordinary_part
+
+    @property
+    def n_terms(self) -> int:
+        return sum(self.terms_per_q)
 
 
 def _admissible_axis(lo: float, hi: float, lam: int, L: int, s: int) -> np.ndarray:
@@ -265,9 +276,12 @@ def default_c_max(instance: ProblemInstance) -> int:
 _MEMORY_BUDGET = 2 << 30
 _TAIL_BUDGET_FRAC = 0.01  # reported shell-mass budget, per unit of sqrt(N)
 # window bytes per dual frequency c in poisson_rhs, an upper bound: the
-# classification, masks, S_q(c) and terms peaked at 35 bytes per c
-# (congruence and obstructed at c_max = 60, hyperboloid at 80, cross form at
-# 100), traced at 24 nodes where the window outweighs the rest; 37% margin
+# classification, masks, S_q(c) on its support's sub-cube and the terms
+# peaked at 34 to 36.3 bytes per c (congruence and obstructed at c_max = 60,
+# hyperboloid at 80, cross form at 100), traced at 24 nodes where the window
+# outweighs the rest; 32% margin.  Where qL >= 2 c_max + 1, sqc_window holds
+# its whole-window product beside the sub-cube it gathers: sqc_table_peak's
+# product term counts that
 _WINDOW_BYTES = 48
 # bytes per point of one amplitude slab (w, F - m0 and h_many's working
 # set), an upper bound: traced at 115 on a box weight and 93 on a ball
@@ -348,6 +362,8 @@ def poisson_rhs(
     exc_mask = np.logical_or(*_classify_array(instance, *np.ix_(cvals, cvals, cvals)))
     ord_mask = ~exc_mask
     exc_mask[c_max, c_max, c_max] = False
+    zero_mask = np.zeros_like(exc_mask)
+    zero_mask[c_max, c_max, c_max] = True
     shell_mask = np.ones_like(exc_mask)
     shell_mask[1:-1, 1:-1, 1:-1] = False
 
@@ -355,18 +371,26 @@ def poisson_rhs(
     exceptional = 0j
     ordinary = 0j
     shell = 0.0
-    n_terms = 0
-    # the c3 >= 0 half of the window: the amplitude is real and the
-    # lam-phase rows are conjugate under c -> -c, so U(-c) = conj U(c)
-    freqs = (cvals, cvals, cvals[c_max:])
+    terms_per_q = []
     for q, nodes in enumerate(nodes_per_q, 1):
         rk = q / Q  # kernel scale (amplitude)
         rp = q / Qgeo  # geometric scale (phase)
         qL = q * L
         qL2 = q * L * L
+        window = sqc_window(instance, q, cvals)
+        if window is None:
+            terms_per_q.append(0)
+            continue
+        rows, terms = window
+        # the amplitude is real and the lam-phase rows are conjugate under
+        # c -> -c, so U(-c) = conj U(c); as the rows are closed under
+        # c -> -c, U is needed on the supported c3 >= 0 only
+        freqs = [cvals[r] for r in rows]
+        freqs[2] = freqs[2][freqs[2] >= 0]
+        neg = len(rows[2]) - len(freqs[2])  # the rows c3 < 0
 
-        # U(c) = e_{qL^2}(c.lam) I(c) over the half window, the lam-phase
-        # folded into the rows of the axis factors:
+        # U(c) = e_{qL^2}(c.lam) I(c) on those rows, the lam-phase folded
+        # into the rows of the axis factors:
         # P[i][a, j] = w_j exp(-2 pi i (c_a / L) t_j / r) e_{qL^2}(c_a lam_i)
         def factors(axes, wts):
             P = _axis_factors(axes, wts, [f / L for f in freqs], rp)
@@ -378,20 +402,21 @@ def poisson_rhs(
             instance, kernel, rk, (nodes, nodes, nodes), factors, yscale, box=_trapezoid_box
         )
         if U is None:
+            terms_per_q.append(0)
             continue
         # prefac S_q(c) U(c) / (qL)^3 in place, U mirrored onto c3 < 0
-        terms = sqc_window(instance, q, cvals)
         terms *= prefac
-        terms[:, :, c_max:] *= U
-        terms[:, :, :c_max] *= np.conj(U[::-1, ::-1, :0:-1])
+        terms[:, :, neg:] *= U
+        terms[:, :, :neg] *= np.conj(U[::-1, ::-1, ::-1][:, :, :neg])
         terms /= qL**3
         del U
-        zero += complex(terms[c_max, c_max, c_max])
-        exceptional += complex(terms[exc_mask].sum())
-        ordinary += complex(terms[ord_mask].sum())
-        shell += float(np.abs(terms[shell_mask]).sum())
-        n_terms += terms.size
-        # release this q's window before the next q builds its own: the
+        sub = np.ix_(*rows)
+        zero += complex(terms[zero_mask[sub]].sum())
+        exceptional += complex(terms[exc_mask[sub]].sum())
+        ordinary += complex(terms[ord_mask[sub]].sum())
+        shell += float(np.abs(terms[shell_mask[sub]]).sum())
+        terms_per_q.append(terms.size)
+        # release this q's sub-cube before the next q builds its own: the
         # loop's peak memory is then one q's arrays
         del terms
     return DeltaExpansion(
@@ -403,7 +428,7 @@ def poisson_rhs(
         ordinary_part=complex(ordinary),
         shell_mass=shell,
         tail_budget=_TAIL_BUDGET_FRAC * instance.sqrtN,
-        n_terms=n_terms,
+        terms_per_q=tuple(terms_per_q),
         nodes=tuple(nodes_per_q),
         capped_q=tuple(q for q, n in enumerate(nodes_per_q, 1) if n >= quad.max_nodes),
     )

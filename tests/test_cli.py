@@ -106,6 +106,12 @@ class TestSubcommands:
         assert abs(report["coarea_value"] - report["singular_integral"]) <= (
             report["coarea_error"] + report["singular_integral_error"] + 1e-9)
         assert all(check["nodes_per_q"][q - 1] == 48 for q in check["capped_q"])
+        # the (q, c) terms evaluated per q: S_q(c)'s support sub-cube in the
+        # window, at most the whole window, and 0 where a q is skipped
+        terms = check["terms_per_q"]
+        assert len(terms) == check["q_max"] == len(check["nodes_per_q"])
+        assert all(0 <= t <= (2 * check["c_max"] + 1) ** 3 for t in terms)
+        assert 0 < sum(terms) < check["q_max"] * (2 * check["c_max"] + 1) ** 3
 
     def test_compare_lists_skipped_identity_checks(self, cfg_file, tmp_path, capsys):
         # h_max = 4 crosses the N = 400 cap of the expansion side at h = 2

@@ -243,6 +243,17 @@ class TestFactoredRoute:
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), c
 
 
+def _window_cube(inst, q, cvals) -> np.ndarray:
+    """sqc_window's values spread onto the whole cube cvals^3, 0 outside the
+    sub-cube of its rows (everywhere when it returns None)."""
+    cube = np.zeros((len(cvals),) * 3, dtype=np.complex128)
+    window = sqc_window(inst, q, cvals)
+    if window is not None:
+        rows, values = window
+        cube[np.ix_(*rows)] = values
+    return cube
+
+
 class TestWindow:
     """sqc_window on the cube arange(-3, 4)^3: within rounding of sqc_values
     on every c (the same factor product, with S2 gathered from its residue
@@ -266,8 +277,7 @@ class TestWindow:
         inst = make_instance(h=h, L=L, lam=lam)
         cvals = np.arange(-3, 4)
         cube = list(itertools.product(cvals.tolist(), repeat=3))
-        got = sqc_window(inst, q, cvals)
-        assert got.shape == (7, 7, 7)
+        got = _window_cube(inst, q, cvals)
         want = np.array(sqc_values(inst, q, cube)).reshape(got.shape)
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
         for c, s in zip(self.SAMPLE, _S_sums(inst, q, self.SAMPLE), strict=True):
@@ -314,11 +324,86 @@ class TestWindow:
         sqc_window(inst, q, cvals)  # warm the per-modulus caches
         tracemalloc.start()
         try:
-            out = sqc_window(inst, q, cvals)
+            _, out = sqc_window(inst, q, cvals)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - (out.nbytes if qL < width else 0) <= sized + 2**18
+
+
+L3 = dict(L=3, lam=(1, 0, 0))                            # F(lam) = m0 N = 1 mod 3
+SPHERE_P7_L5 = dict(coeffs=(1, 1, 1), p0=7, h=3, L=5, lam=(0, 0, 1), center=(3**-0.5,) * 3)
+# F = 3 mod 8 on x = (1, 1, 1) mod 2, against m0 N = 1 mod 8: S_q(c) = 0
+OBSTRUCTED = dict(coeffs=(1, 1, 1), L=2, lam=(1, 1, 1), center=(3**-0.5,) * 3)
+
+
+class TestWindowSupport:
+    """sqc_window's support on the cube arange(-4, 5)^3, through the residue
+    table (qL < 9) and on the window itself (qL >= 9), against the
+    definition-level table sqc_grid: every c left out of the rows has S_q(c)
+    within rounding of 0, the rows are closed under c -> -c, and the
+    sub-cube holds sqc_values' values.  The sub-cube's shape is pinned, so
+    rows that the product's zeros would drop cannot silently stay."""
+
+    CVALS = np.arange(-4, 5)
+
+    @pytest.mark.parametrize(
+        "kw, q, shape",
+        [
+            (HYP625, 2, (4, 4, 4)),     # L = 1: odd c only
+            (HYP625, 3, (9, 9, 9)),     # the whole window
+            (HYP625, 12, (5, 5, 5)),    # qL = 12: on the window
+            (CONG, 1, (5, 5, 5)),       # L = 2: even c only
+            (CONG, 2, (3, 2, 2)),       # no c2 = 0 or c3 = 0 row
+            (CONG, 4, (2, 3, 3)),       # no c1 = 0 row
+            (CONG, 6, (3, 2, 2)),       # qL = 12: on the window
+            (L3, 1, (9, 3, 3)),         # L = 3: c2, c3 = 0 mod 3
+            (L3, 2, (4, 4, 4)),
+            (L3, 3, (6, 3, 3)),         # qL = 9: on the window
+            (SPHERE_P7_L5, 1, (9, 9, 9)),
+            (SPHERE_P7_L5, 2, (4, 4, 4)),   # qL = 10: on the window
+            (OBSTRUCTED, 1, None),
+            (OBSTRUCTED, 2, None),
+            (OBSTRUCTED, 6, None),      # qL = 12: on the window
+        ],
+        ids=["L1-2", "L1-3", "L1-12", "L2-1", "L2-2", "L2-4", "L2-6", "L3-1", "L3-2",
+             "L3-3", "L5-1", "L5-2", "obstructed-1", "obstructed-2", "obstructed-6"],
+    )
+    def test_support_is_sound(self, kw, q, shape):
+        inst = make_instance(**kw)
+        cvals = self.CVALS
+        r = cvals % (q * inst.L)
+        want = sqc_grid(inst, q)[np.ix_(r, r, r)]
+        rounding = 1e-12 * max(1.0, float(np.abs(want).max()))
+        window = sqc_window(inst, q, cvals)
+        if shape is None:
+            assert window is None
+            assert np.abs(want).max() <= rounding
+            return
+        rows, got = window
+        assert got.shape == shape
+        left_out = np.ones(want.shape, dtype=bool)
+        left_out[np.ix_(*rows)] = False
+        assert np.abs(want[left_out]).max(initial=0.0) <= rounding
+        for row in rows:
+            assert np.array_equal(np.sort(-cvals[row]), cvals[row])
+        sub = [cvals[row].tolist() for row in rows]
+        per_c = np.array(sqc_values(inst, q, list(itertools.product(*sub)))).reshape(shape)
+        assert np.all(np.abs(got - per_c) <= 1e-9 * np.maximum(1.0, np.abs(per_c)))
+
+    def test_rows_on_a_strided_window(self, cong):
+        # at q = 2, S_q(c) != 0 needs c1 = 0 and c2, c3 = 2 mod 4: the residue
+        # table has live rows on every axis, but the window of c = 0 mod 4
+        # meets none of its nonzero values
+        cvals = np.arange(-8, 9, 4)
+        r = cvals % 4
+        assert np.abs(sqc_grid(cong, 2)).max() > 1.0
+        assert np.abs(sqc_grid(cong, 2)[np.ix_(r, r, r)]).max() <= 1e-12
+        assert sqc_window(cong, 2, cvals) is None
+
+    def test_refuses_asymmetric_window(self, hyp):
+        with pytest.raises(ValueError, match="symmetric about 0"):
+            sqc_window(hyp, 2, np.arange(-3, 5))
 
 
 class TestWindowRoute:
@@ -333,7 +418,7 @@ class TestWindowRoute:
     @staticmethod
     def _check(inst, q, cvals) -> int:
         """Compare one cube; returns how many nonzero values it checked."""
-        got = sqc_window(inst, q, cvals)
+        got = _window_cube(inst, q, cvals)
         qL = q * inst.L
         if qL <= 60:
             r = cvals % qL

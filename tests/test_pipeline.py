@@ -17,7 +17,7 @@ from qdelta.arch import (
     _trapezoid_box,
     form_range,
 )
-from qdelta.expsums import sqc_grid, sqc_table_peak
+from qdelta.expsums import sqc_grid, sqc_table_peak, sqc_window
 from qdelta.pipeline import (
     PredictionReport,
     _admissible_axis,
@@ -98,6 +98,8 @@ def _triple_count(instance: ProblemInstance) -> tuple[float, int]:
 
 
 _SPHERE = dict(coeffs=(1, 1, 1), center=(1 / 3**0.5,) * 3)
+_SPHERE_P7_L5 = dict(p0=7, h=3, L=5, lam=(0, 0, 1), **_SPHERE)
+_OBSTRUCTED = dict(L=2, lam=(1, 1, 1), **_SPHERE)
 # name -> instance; the cross form at h = 1..3, the hyperboloid (a33 < 0)
 # on one sheet and across z = 0 (both x3 roots of a pair in the box), the
 # p0 = 7 sphere, with x3 = 1 mod 5 (x3 = -1 mod 5 also solves F mod 5),
@@ -108,9 +110,9 @@ _ORACLE_CASES = {
     "a33-3": lambda: make_instance(coeffs=(1, 1, 3, 0, 2, 0), h=3, center=(0.5, 0.5, 0.3)),
     "hyperboloid-h3": lambda: make_instance(h=3),
     "hyperboloid-z0": lambda: make_instance(h=3, center=(1.0, 0.1, 0.0)),
-    "sphere-p7-L5": lambda: make_instance(p0=7, h=3, L=5, lam=(0, 0, 1), **_SPHERE),
+    "sphere-p7-L5": lambda: make_instance(**_SPHERE_P7_L5),
     "sphere-p7-h3": lambda: make_instance(p0=7, h=3, **_SPHERE),
-    "obstructed": lambda: make_instance(L=2, lam=(1, 1, 1), **_SPHERE),
+    "obstructed": lambda: make_instance(**_OBSTRUCTED),
     "unit-sphere": _unit_sphere,
 }
 
@@ -347,11 +349,22 @@ class TestWindowContraction:
 
     # the congruence instance is invariant under (x2, x3) -> (-x2, -x3), which
     # hides a c1 < 0 mirror that fails to reverse the c2 and c3 axes; the xy
-    # term of the cross form breaks that symmetry
+    # term of the cross form breaks that symmetry.  At L = 3 and L = 5 the
+    # support of S_q(c) keeps other rows than at L = 2; on the obstructed
+    # sphere it is empty at every q
     @pytest.mark.parametrize(
         "kwargs, c_max",
-        [(_CONGRUENCE, 0), (_CONGRUENCE, 1), (_CONGRUENCE, 4), (_CROSS, 4)],
-        ids=["congruence-0", "congruence-1", "congruence-4", "cross-4"],
+        [
+            (_CONGRUENCE, 0),
+            (_CONGRUENCE, 1),
+            (_CONGRUENCE, 4),
+            (_CROSS, 4),
+            (_OBSTRUCTED, 4),
+            (dict(L=3, lam=(1, 0, 0)), 4),
+            (_SPHERE_P7_L5, 4),
+        ],
+        ids=["congruence-0", "congruence-1", "congruence-4", "cross-4", "obstructed-4",
+             "hyperboloid-L3-4", "sphere-p7-L5-4"],
     )
     def test_poisson_rhs_matches_tensordot_chain(self, kwargs, c_max):
         inst = make_instance(**kwargs)
@@ -360,6 +373,16 @@ class TestWindowContraction:
         ref = _tensordot_chain(inst, 4, c_max, quad)
         for name, value in ref.items():
             assert abs(getattr(exp, name) - value) <= 1e-12 * max(1.0, abs(value)), name
+        if kwargs is _OBSTRUCTED:
+            assert exp.total == 0j and exp.n_terms == 0
+
+    def test_mirror_without_c3_zero_row(self):
+        # congruence-4 above reaches a q whose sub-cube has no c3 = 0 row, so
+        # U(-c) = conj U(c) is mirrored there from the c3 > 0 rows alone
+        inst = make_instance(**_CONGRUENCE)
+        cvals = np.arange(-4, 5)
+        rows = [sqc_window(inst, q, cvals)[0] for q in range(1, 5)]
+        assert [4 in r[2] for r in rows] == [True, False, True, True]
 
 
 class TestConvergence:
