@@ -326,6 +326,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.base_nodes < 1 or self.max_nodes < 1:
             raise ValueError("base_nodes and max_nodes must be at least 1")
+        if self.base_nodes > self.max_nodes:
+            raise ValueError(f"base_nodes {self.base_nodes} exceeds max_nodes {self.max_nodes}")
 
     def nodes_for(self, cycles: float, features: float = 0.0) -> int:
         """Gauss-Legendre node count resolving `cycles` phase oscillations

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -285,14 +286,17 @@ def cmd_delta_check(args, cfg) -> int:
     n_lo, n_hi = _get_range(cfg, "n_range", (-25, 25))
     tempering = _get_float(cfg, "kernel_tempering", 0.4)
     skew = _get_float(cfg, "kernel_skew", -0.25)
+    try:
+        kernels = [DeltaKernel(Q=float(Q), tempering=tempering, skew=skew) for Q in q_list]
+    except ValueError as exc:
+        raise ConfigError(f"invalid kernel config: {exc}") from exc
     outdir = Path(args.out)
     path = outdir / "delta.csv"
     worst: dict[float, float] = {}
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "Q", "value", "deviation"])
-        for Q in q_list:
-            kernel = DeltaKernel(Q=float(Q), tempering=tempering, skew=skew)
+        for Q, kernel in zip(q_list, kernels):
             for n in range(n_lo, n_hi + 1):
                 value = delta_symbol(kernel, n)
                 deviation = abs(value - (1.0 if n == 0 else 0.0))
@@ -318,6 +322,8 @@ def cmd_compare(args, cfg) -> int:
     if h_hi - h_lo + 1 < 3:
         raise ConfigError("config fields h_min/h_max: need at least 3 h values")
     tolerance = _get_float(cfg, "tolerance", 0.02)
+    if not 0 < tolerance < math.inf:
+        raise ConfigError(f"config field tolerance: must be finite and positive, got {tolerance}")
     p_max = _get_int(cfg, "P_max", 300)
     quad = quad_from_config(cfg)
     h_values = tuple(range(h_lo, h_hi + 1))

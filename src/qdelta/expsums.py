@@ -7,34 +7,38 @@ where q1 is prime to m0 N) and the character averages of the ramified part.
 
 The unit a-sums are collapsed to Ramanujan sums c_q(m) via the Mobius/gcd
 formula; the raw double loops live in the tests as oracles for that collapse.
-S_q(c), S1, S2 and the cone sum calT1 are one object, the amplitude
-A(s) = [L^2 | g] c_q(g / L^2) with g = F(scale*s + lam) - target, s mod qL,
-summed against e_{qL}(c.s).  One kernel, `_amplitude_rows`, builds A row by
-row; it has two consumers: `_amplitude_sums` for a list of c, which builds
-each row once and contracts it against every c's phases (memory
-O((qL)^2 + len(cs) qL)), and `_amplitude_table` for every c mod qL at once
-(one FFT).  All vectorized reductions run in a fixed order, the same for a c
-whatever list it comes in, so results are reproducible bit-for-bit.
+Every sum here is one object, the amplitude A(s) = [L^2 | g] c_q(g / L^2)
+with g = F(scale*s + lam) - target, s mod qL, summed against e_{qL}(c.s):
+S_q(c), S1, S2, the cone sum calT1, and the character-organized calS, calA
+and calT2.  Those three sum over beta mod lL^2 with beta = lam mod L; with
+beta = L s + lam that is the amplitude at q = l times the phase
+e_{lL^2}(k.lam).  One kernel, `_amplitude_rows`, builds A row by row; it has
+two consumers: `_amplitude_sums` for a list of c, which builds each row once
+and contracts it against every c's phases (memory O((qL)^2 + len(cs) qL)),
+and `_amplitude_table` for every c mod qL at once (one FFT).  A sum is its
+value alone: no term count is kept.  All vectorized reductions run in a
+fixed order, the same for a c whatever list it comes in, so results are
+reproducible bit-for-bit.
 
 S_q(c) has one route at every q: S1 at modulus q1 in closed form
 (`_s1_values`, on int64 arrays of c) times the definition-level S2 at
-modulus q2 L, summed per c for a list (`sqc_values`) or gathered from its
-residue table on the sub-cube of the dual window that its support spans
-(`sqc_window`).  `sqc_grid` (the whole (qL)^3 table), `brute_S1`,
-`brute_S1_grid` and `lemma21_eval` are oracles.
+modulus q2 L, summed per c for a list (`sqc_values`), or taken once on the
+cube of the residues mod qL that the dual window reaches and gathered onto
+the sub-cube its support spans (`sqc_window`).  `sqc_grid` (the whole
+(qL)^3 table), `brute_S1`, `brute_S1_grid` and `lemma21_eval` are oracles.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .modarith import (divisors, euler_phi, factorize, jacobi, quadratic_roots,
-                       ramanujan_sum, smooth_part)
-from .qform import ProblemInstance, evaluate, form_values
+from .modarith import divisors, factorize, jacobi, quadratic_roots, ramanujan_sum, smooth_part
+from .qform import ProblemInstance, evaluate
 
 _BRUTE_MODULUS_BOUND = 10**4
 _CALS_BOUND = 10**4
@@ -50,41 +54,17 @@ _PRODUCT_BYTES = 8 * 4 + 1
 
 @dataclass(frozen=True)
 class ComplexSum:
-    """Value of a finite exponential sum together with its term count."""
+    """Value of a finite exponential sum."""
 
     value: complex
-    terms: int
 
     def __abs__(self) -> float:
         return abs(self.value)
 
 
-def _residue_axes(size: int, scale: int = 1, lam=(0, 0, 0)):
-    """Open axes scale*s + lam_i, s = 0..size-1: broadcast together they
-    span the (size)^3 residue grid."""
-    s = np.arange(size, dtype=np.int64)
-    return np.ix_(*(scale * s + v for v in lam))
-
-
 def _exp_table(n: int) -> np.ndarray:
     """e(k/n) for k = 0..n-1, computed once per modulus."""
     return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-@lru_cache(maxsize=None)
-def _ramanujan_by_gcd(q: int) -> dict[int, int]:
-    """c_q(m) depends on m only through gcd(m, q); table over divisors of q."""
-    return {d: ramanujan_sum(q, d) for d in divisors(q)}
-
-
-def _ramanujan_vector(q: int, m: np.ndarray) -> np.ndarray:
-    """Vectorized c_q(m) over an integer array m."""
-    table = _ramanujan_by_gcd(q)
-    g = np.gcd(m % q, q) if q > 1 else np.ones_like(m)
-    out = np.zeros(m.shape, dtype=np.int64)
-    for d, val in table.items():
-        out[g == d] = val
-    return out
 
 
 def _sum_masked_phase(amp: np.ndarray, ph2: np.ndarray, ph3: np.ndarray) -> complex:
@@ -97,21 +77,16 @@ def _sum_masked_phase(amp: np.ndarray, ph2: np.ndarray, ph3: np.ndarray) -> comp
 def _ramanujan_residue_table(q: int, L2: int) -> np.ndarray:
     """c_q(r // L2) for residues r mod q*L2 with L2 | r, else 0; tiled x3.
 
+    c_q(m) depends on m only through gcd(m, q): one value per divisor of q.
     The tiling lets callers index with unreduced sums of three residues in
     [0, q*L2) without a folding pass.
     """
     r = np.arange(q * L2, dtype=np.int64)
-    vals = _ramanujan_vector(q, r // L2).astype(np.float64)
-    if L2 > 1:
-        vals[r % L2 != 0] = 0.0
+    g = np.gcd(r // L2, q)
+    vals = np.zeros(q * L2)
+    for d in divisors(q):
+        vals[(g == d) & (r % L2 == 0)] = ramanujan_sum(q, d)
     return np.tile(vals, 3)
-
-
-@lru_cache(maxsize=None)
-def _divisible_residue_table(L2: int, modulus: int) -> np.ndarray:
-    """Indicator of L2 | r for residues r mod modulus, tiled x3."""
-    r = np.arange(modulus, dtype=np.int64)
-    return np.tile((r % L2 == 0).astype(np.uint8), 3)
 
 
 def _scaled_residue_sum(
@@ -156,15 +131,13 @@ def _check_split(instance: ProblemInstance, q1: int, q2: int) -> None:
 
 def _amplitude_rows(form, q: int, L: int, scale: int, lam, target: int):
     """Rows of A(s) = [L^2 | g] c_q(g / L^2), g = F(scale*s + lam) - target, for
-    s mod qL: an iterator over s1 = 0..qL-1 of (A[s1, :, :], #{(s2, s3) with
-    L^2 | g}).  The modulus bound is checked on the call, not on the first row."""
+    s mod qL: an iterator over s1 = 0..qL-1 of A[s1, :, :].  The modulus bound
+    is checked on the call, not on the first row."""
     size = q * L
     _check_modulus(size)
-    L2 = L * L
-    modulus = q * L2
+    modulus = q * L * L
     base, x2, x3 = _scaled_residue_sum(form, scale, lam, -target, modulus, size)
-    ramanujan = _ramanujan_residue_table(q, L2)
-    divisible = _divisible_residue_table(L2, modulus) if L2 > 1 else None
+    ramanujan = _ramanujan_residue_table(q, L * L)
     a11, _, _, a12, a13, _ = form.coefficients()
 
     def row(s1: int):
@@ -172,35 +145,36 @@ def _amplitude_rows(form, q: int, L: int, scale: int, lam, target: int):
         r = (base + ((a11 * x1 * x1 + a12 * x1 * x2) % modulus)[:, None]) + (
             (a13 * x1 * x3) % modulus
         )[None, :]
-        return ramanujan[r], size * size if divisible is None else int(divisible[r].sum())
+        return ramanujan[r]
 
     return map(row, range(size))
 
 
 def _amplitude_sums(form, q: int, L: int, scale: int, lam, target: int, cs) -> list[ComplexSum]:
     """sum_s A(s) e_{qL}(c.s) for each c in cs, one row of A at a time: each
-    row is built once and contracted against every c; the term count is
-    phi(q) times the number of s with L^2 | g."""
-    rows = _amplitude_rows(form, q, L, scale, lam, target)
+    row is built once and contracted against every c."""
     size = q * L
+    rows = _amplitude_rows(form, q, L, scale, lam, target)
     cs = [tuple(int(v) % size for v in c) for c in cs]
     tab = _exp_table(size)
     s = np.arange(size)
     ph2 = [tab[(c[1] * s) % size] for c in cs]
     ph3 = [tab[(c[2] * s) % size] for c in cs]
     totals = [0j] * len(cs)
-    nsol = 0
-    for s1, (amp, count) in enumerate(rows):
+    for s1, amp in enumerate(rows):
         for k, c in enumerate(cs):
             totals[k] += tab[(c[0] * s1) % size] * _sum_masked_phase(amp, ph2[k], ph3[k])
-        nsol += count
-    terms = euler_phi(q) * nsol
-    return [ComplexSum(total, terms) for total in totals]
+    return [ComplexSum(total) for total in totals]
 
 
 def _amplitude_table(form, q: int, L: int, scale: int, lam, target: int) -> np.ndarray:
     """sum_s A(s) e_{qL}(k.s) for every k mod qL, as a (qL)^3 array."""
-    amp = np.stack([a for a, _ in _amplitude_rows(form, q, L, scale, lam, target)])
+    rows = _amplitude_rows(form, q, L, scale, lam, target)
+    # filled in place: a list of row arrays stacked at the end fragments the
+    # heap where many tables stay cached (calS over l)
+    amp = np.empty((q * L,) * 3)
+    for s1, row in enumerate(rows):
+        amp[s1] = row
     return np.conj(np.fft.fftn(amp))
 
 
@@ -313,7 +287,7 @@ def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
     """Lemma 2.1, the oracle for _s1_values at q1 prime to 2 m0 N: S1(c) =
     q1^2 (-m0 N det / q1) e_{q1}(-sbar c.lam_N) sum_v e_{q1}(det^{-1} sbar v)
     over the v with v^2 = m0 N det F*(c) mod q1, s = q2 L^2 (tau = s sigma
-    rescales c by sbar); the term count is the number of roots v."""
+    rescales c by sbar)."""
     if math.gcd(q1, 2 * instance.mN) != 1:
         raise ValueError("require q1 odd and gcd(q1, m0*N) = 1")
     _check_split(instance, q1, q2)
@@ -324,7 +298,7 @@ def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
     shift = -inv_s * sum(lam * v for lam, v in zip(instance.lam_N, c))
     ks = np.array([(pow(det, -1, q1) * inv_s * v + shift) % q1 for v in roots], dtype=np.int64)
     front = q1 * q1 * jacobi(-instance.mN * det, q1)
-    return ComplexSum(complex(front * np.exp(2j * np.pi * ks / q1).sum()), len(roots))
+    return ComplexSum(complex(front * np.exp(2j * np.pi * ks / q1).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -332,69 +306,46 @@ def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
 # ---------------------------------------------------------------------------
 
 
-def _locus_amplitude(instance: ProblemInstance, l: int, target: int, lam):
-    """A(beta) = c_l((F(beta) - target)/L^2) for beta mod lL^2 on the locus
-    beta = lam mod L, L^2 | F(beta) - target, else 0.  Returns (A, the open
-    beta axes, the locus size)."""
-    L = instance.L
-    L2 = L * L
-    b = _residue_axes(l * L2)
-    g = form_values(instance.form, *b) - target
-    mask = (g % L2 == 0) & (b[0] % L == lam[0]) & (b[1] % L == lam[1]) & (b[2] % L == lam[2])
-    amp = np.where(mask, _ramanujan_vector(l, np.where(mask, g // L2, 0)), 0).astype(np.float64)
-    return amp, b, int(mask.sum())
-
-
-def _cal_grid(instance: ProblemInstance, l: int) -> tuple[np.ndarray, int]:
-    """FFT table G with G[k] = sum_beta A(beta) e_{lL^2}(k.beta), where
-    A(beta) = c_l((F(beta)-m0N)/L^2) on the congruence locus, else 0."""
-    amp, _, nsol = _locus_amplitude(instance, l, instance.mN, instance.lam_N)
-    return np.conj(np.fft.fftn(amp)), nsol
-
-
 @lru_cache(maxsize=64)
-def _cal_grid_cached(instance: ProblemInstance, l: int):
-    return _cal_grid(instance, l)
+def _cal_grid(instance: ProblemInstance, l: int) -> np.ndarray:
+    """sum_sigma A(sigma) e_{lL}(k.sigma) for every k mod lL, A the amplitude
+    of S_q(c) at q = l: S_l's sum over its locus beta = L sigma + lam_N,
+    less the phase e_{lL^2}(k.lam_N)."""
+    L = instance.L
+    return _amplitude_table(instance.form, l, L, L, instance.lam_N, instance.mN)
 
 
 def calS(instance: ProblemInstance, l: int, x: int, c) -> ComplexSum:
     """S_l(x; c): a mod l coprime, beta mod lL^2 on the congruence locus,
-    e_{lL^2}(a (F(beta) - m0 N) + xbar c.beta)."""
+    e_{lL^2}(a (F(beta) - m0 N) + xbar c.beta).  With beta = L sigma + lam_N
+    and k = xbar c, it is e_{lL^2}(k.lam_N) times _cal_grid at k mod lL."""
     L = instance.L
     mod = l * L * L
     if mod > _CALS_BOUND:
         raise ValueError(f"l*L^2 = {mod} exceeds bound {_CALS_BOUND}")
     if math.gcd(x, l * L) != 1:
         raise ValueError("require gcd(x, lL) = 1")
-    grid, nsol = _cal_grid_cached(instance, l)
-    xinv = pow(x % mod, -1, mod) if mod > 1 else 0
-    idx = tuple((xinv * int(v)) % mod for v in c)
-    phi_l = euler_phi(l)
-    return ComplexSum(complex(grid[idx]), phi_l * nsol)
+    xinv = pow(x % mod, -1, mod)
+    k = [(xinv * int(v)) % mod for v in c]
+    turn = sum(a * b for a, b in zip(k, instance.lam_N)) % mod
+    amp = complex(_cal_grid(instance, l)[tuple(v % (l * L) for v in k)])
+    return ComplexSum(amp * cmath.exp(2j * cmath.pi * turn / mod))
 
 
 def calA(instance: ProblemInstance, l: int, chi, c) -> ComplexSum:
     """A_l(chi; c) = phi(lL^2)^{-1} sum_x conj(chi(x)) S_l(x; c)."""
-    L = instance.L
-    mod = l * L * L
+    mod = l * instance.L * instance.L
     if mod > _CALA_BOUND:
         raise ValueError(f"l*L^2 = {mod} exceeds bound {_CALA_BOUND}")
     if chi.modulus != mod:
         raise ValueError("character modulus must equal l*L^2")
-    grid, nsol = _cal_grid_cached(instance, l)
-    total = 0j
-    count = 0
-    for x in range(1, mod + 1):
-        if math.gcd(x, mod) != 1:
-            continue
-        xinv = pow(x, -1, mod)
-        idx = tuple((xinv * int(v)) % mod for v in c)
-        total += np.conj(chi(x)) * complex(grid[idx])
-        count += 1
-    if mod == 1:
-        total = complex(grid[0, 0, 0])
-        count = 1
-    return ComplexSum(total / count, count)
+    # calS at every unit x at once: k = xbar c, one gather and one phase each
+    units = [x for x in range(1, mod + 1) if math.gcd(x, mod) == 1]
+    xinv = np.array([pow(x, -1, mod) for x in units], dtype=np.int64)
+    k = xinv[:, None] * (np.array([int(v) for v in c], dtype=np.int64) % mod) % mod
+    turn = k @ np.array(instance.lam_N, dtype=np.int64) % mod
+    s = _cal_grid(instance, l)[tuple((k % (l * instance.L)).T)] * np.exp(2j * np.pi * turn / mod)
+    return ComplexSum(complex(np.conj([chi(x) for x in units]) @ s) / len(units))
 
 
 def calT1(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
@@ -402,7 +353,7 @@ def calT1(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
     e_{q2_flat}(b F(beta) + xbar c.beta).  Equals 1 when p0 does not divide q2."""
     flat = smooth_part(q2, instance.p0)
     if flat == 1:
-        return ComplexSum(1 + 0j, 1)
+        return ComplexSum(1 + 0j)
     if math.gcd(x, flat) != 1:
         raise ValueError("require gcd(x, q2_flat) = 1")
     xinv = pow(x % flat, -1, flat)
@@ -413,7 +364,9 @@ def calT1(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
 def calT2(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
     """N-free ramified sum over q2_nat = q2 / (p0-part): b mod q2_nat coprime,
     beta mod q2_nat L^2 with F(beta) = m0 mod L^2 and beta = lam mod L,
-    e_{q2_nat L^2}(b (F(beta) - m0) + xbar c.beta).  Independent of h."""
+    e_{q2_nat L^2}(b (F(beta) - m0) + xbar c.beta).  Independent of h.  With
+    beta = L sigma + lam and k = xbar c, it is e_{q2_nat L^2}(k.lam) times the
+    residue amplitude's sum at modulus q2_nat L."""
     flat = smooth_part(q2, instance.p0)
     nat = q2 // flat
     L = instance.L
@@ -421,13 +374,11 @@ def calT2(instance: ProblemInstance, q2: int, x: int, c) -> ComplexSum:
     _check_modulus(mod)
     if math.gcd(x, mod) != 1:
         raise ValueError("require gcd(x, q2_nat L^2) = 1")
-    xinv = pow(x % mod, -1, mod) if mod > 1 else 0
-    amp, (b1, b2, b3), nsol = _locus_amplitude(instance, nat, instance.m0, instance.cong.lam)
-    tab = _exp_table(mod)
-    phase = tab[((xinv * (c[0] * b1 + c[1] * b2 + c[2] * b3)) % mod)]
-    val = complex(np.sum(amp * phase))
-    phi = euler_phi(nat)
-    return ComplexSum(val, phi * nsol)
+    xinv = pow(x % mod, -1, mod)
+    k = [(xinv * int(v)) % mod for v in c]
+    turn = sum(a * b for a, b in zip(k, instance.cong.lam)) % mod
+    (amp,) = _amplitude_sums(instance.form, nat, L, L, instance.cong.lam, instance.m0, [k])
+    return ComplexSum(complex(amp.value) * cmath.exp(2j * cmath.pi * turn / mod))
 
 
 def sqc_grid(instance: ProblemInstance, q: int) -> np.ndarray:
@@ -476,35 +427,27 @@ def sqc_window(
     None when S_q(c) is 0 on the whole window.
 
     The values are the factor product of sqc_values, with S2 gathered from
-    its residue table.  When qL < len(cvals) the product is taken on
-    arange(qL)^3, the rows are found on that residue table and only the
-    sub-cube is gathered; else it is taken on cvals^3.  The support is read
-    off the exact zeros of that product: every c left out of the sub-cube
-    has a product of exactly 0."""
+    its residue table, taken once on the cube of the residues mod qL that
+    the window reaches (min(qL, len(cvals)) of them on a contiguous window).
+    The rows are read off the exact zeros of that product and mapped back
+    to the window, and the sub-cube is gathered from it: every c left out
+    of the sub-cube has a product of exactly 0."""
     cvals = np.asarray(cvals, dtype=np.int64)
     if np.any(cvals[::-1] != -cvals):
         raise ValueError("sqc_window needs a window symmetric about 0")
     L = instance.L
-    qL = q * L
-    residues = qL < len(cvals)
-    axis = np.arange(qL, dtype=np.int64) if residues else cvals
+    res, idx = np.unique(cvals % (q * L), return_inverse=True)
     q1, q2 = crt_split(instance, q)
-    vals = _s1_values(instance, q1, q2, *np.ix_(axis, axis, axis))
+    vals = _s1_values(instance, q1, q2, *np.ix_(res, res, res))
     if q2 * L > 1:
-        r = axis % (q2 * L)
+        r = res % (q2 * L)
         s2 = _amplitude_table(instance.form, q2, L, L * q1, instance.lam_N, instance.mN)
         vals *= s2[np.ix_(r, r, r)]
     nonzero = vals != 0
-    if residues:  # only the residues the window reaches count
-        off = np.ones(qL, dtype=bool)
-        off[cvals % qL] = False
-        nonzero[off] = nonzero[:, off] = nonzero[:, :, off] = False
-    live = [nonzero.any(axis=other) for other in ((1, 2), (0, 2), (0, 1))]
+    live = [nonzero.any(axis=other)[idx] for other in ((1, 2), (0, 2), (0, 1))]
     del nonzero
     if not live[0].any():
         return None
-    if residues:
-        live = [row[cvals % qL] for row in live]
     # c and -c sit at mirrored indices of the window
     rows = tuple(np.flatnonzero(row | row[::-1]) for row in live)
-    return rows, vals[np.ix_(*([cvals[r] % qL for r in rows] if residues else rows))]
+    return rows, vals[np.ix_(*(idx[r] for r in rows))]

@@ -622,8 +622,9 @@ class TestGaussLegendreRule:
 class TestQuadratureSpec:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"base_nodes": 0}, {"max_nodes": 0}, {"max_nodes": -5}],
-        ids=["base_0", "max_0", "max_neg"],
+        [{"base_nodes": 0}, {"max_nodes": 0}, {"max_nodes": -5},
+         {"base_nodes": 100, "max_nodes": 48}],
+        ids=["base_0", "max_0", "max_neg", "base_above_max"],
     )
     def test_rejects_impossible_values(self, kwargs):
         with pytest.raises(ValueError):

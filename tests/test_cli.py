@@ -254,20 +254,53 @@ class TestSubcommands:
         assert not (tmp_path / "count.json").exists()
 
     @pytest.mark.parametrize(
-        "extra",
-        ["quad_max_nodes = 0\n", "quad_max_nodes = -5\n", "quad_base_nodes = 0\n"],
-        ids=["max_0", "max_neg", "base_0"],
+        "extra, message",
+        [
+            ("quad_max_nodes = 0\n", "at least 1"),
+            ("quad_max_nodes = -5\n", "at least 1"),
+            ("quad_base_nodes = 0\n", "at least 1"),
+            ("quad_base_nodes = 100\nquad_max_nodes = 48\n", "exceeds max_nodes"),
+        ],
+        ids=["max_0", "max_neg", "base_0", "base_above_max"],
     )
-    def test_exit_code_2_on_impossible_node_count(self, cfg_file, tmp_path, capsys, extra):
+    def test_exit_code_2_on_impossible_node_count(self, cfg_file, tmp_path, capsys, extra, message):
         # a node count below 1 is a config error, not leggauss's failure
-        # reported as a resource bound
+        # reported as a resource bound; a base above the cap is one too, not
+        # a silent clamp of every q to the cap
         p = tmp_path / "q.cfg"
         p.write_text(cfg_file.read_text() + extra)
         rc = main(["compare", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "at least 1" in err
+        assert "config error" in err and message in err
         assert not (tmp_path / "compare.json").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_exit_code_2_on_invalid_tolerance(self, cfg_file, tmp_path, capsys, value):
+        # a tolerance no error can meet, or any error meets, is refused
+        # before any work rather than reported as a failed identity check
+        p = tmp_path / "t.cfg"
+        p.write_text(cfg_file.read_text() + f"tolerance = {value}\n")
+        rc = main(["compare", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "tolerance" in err
+        assert not (tmp_path / "compare.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        ["Q_list = 1\n", "kernel_tempering = -1\n", "kernel_skew = 1\n"],
+        ids=["Q_1", "tempering_neg", "skew_1"],
+    )
+    def test_exit_code_2_on_invalid_kernel(self, cfg_file, tmp_path, capsys, extra):
+        # a kernel the config cannot build is a config error, not a resource
+        # bound, and delta.csv is not opened
+        p = tmp_path / "k.cfg"
+        p.write_text(cfg_file.read_text() + extra)
+        rc = main(["delta-check", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "delta.csv").exists()
 
     @pytest.mark.parametrize(
         "command, extra, output",

@@ -9,7 +9,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import sympy
 
 from qdelta.expsums import (
     ComplexSum,
@@ -50,7 +49,6 @@ def brute_S_literal(instance, q: int, c) -> ComplexSum:
     tab = [cmath.exp(2j * cmath.pi * k / qL) for k in range(qL)]
     coprime = [a for a in range(q) if math.gcd(a, q) == 1]
     total = 0j
-    terms = 0
     for s1 in range(qL):
         for s2 in range(qL):
             for s3 in range(qL):
@@ -61,8 +59,7 @@ def brute_S_literal(instance, q: int, c) -> ComplexSum:
                 gl = g // L
                 for a in coprime:
                     total += tab[(a * gl + cdot) % qL]
-                    terms += 1
-    return ComplexSum(total, terms)
+    return ComplexSum(total)
 
 
 def brute_S_reordered(instance, q: int, c) -> ComplexSum:
@@ -75,7 +72,6 @@ def brute_S_reordered(instance, q: int, c) -> ComplexSum:
     lam = instance.lam_N
     mN = instance.mN
     total = 0j
-    terms = 0
     for a in range(q):
         if math.gcd(a, q) != 1:
             continue
@@ -87,8 +83,39 @@ def brute_S_reordered(instance, q: int, c) -> ComplexSum:
                         continue
                     arg = a * (g // L) + c[0] * s1 + c[1] * s2 + c[2] * s3
                     total += cmath.exp(2j * cmath.pi * (arg % qL) / qL)
-                    terms += 1
-    return ComplexSum(total, terms)
+    return ComplexSum(total)
+
+
+def locus_sum_literal(instance, l: int, x: int, c, lam, target: int) -> complex:
+    """Raw loop over beta mod lL^2 with beta = lam mod L and the a mod l
+    coprime to l: the sum of e_{lL^2}(a (F(beta) - target) + xbar c.beta) over
+    L^2 | F(beta) - target, F in exact integers and phases by cmath."""
+    L = instance.L
+    mod = l * L * L
+    if l * L > 12:
+        raise ValueError("literal loop reserved for small moduli")
+    xinv = pow(x, -1, mod)
+    coprime = [a for a in range(l) if math.gcd(a, l) == 1]
+    total = 0j
+    for beta in itertools.product(*(range(v, mod, L) for v in lam)):
+        g = evaluate(instance.form, beta) - target
+        if g % (L * L) != 0:
+            continue
+        cdot = xinv * sum(v * b for v, b in zip(c, beta))
+        for a in coprime:
+            total += cmath.exp(2j * cmath.pi * ((a * g + cdot) % mod) / mod)
+    return total
+
+
+def calS_literal(instance, l: int, x: int, c) -> complex:
+    """S_l(x; c) by its definition: the locus beta = lam_N mod L, target m0 N."""
+    return locus_sum_literal(instance, l, x, c, instance.lam_N, instance.mN)
+
+
+def calT2_literal(instance, q2: int, x: int, c) -> complex:
+    """T2 by its definition: l = q2_nat, the locus beta = lam mod L, target m0."""
+    nat = q2 // smooth_part(q2, instance.p0)
+    return locus_sum_literal(instance, nat, x, c, instance.cong.lam, instance.m0)
 
 
 @pytest.fixture(scope="module")
@@ -338,12 +365,14 @@ OBSTRUCTED = dict(coeffs=(1, 1, 1), L=2, lam=(1, 1, 1), center=(3**-0.5,) * 3)
 
 
 class TestWindowSupport:
-    """sqc_window's support on the cube arange(-4, 5)^3, through the residue
-    table (qL < 9) and on the window itself (qL >= 9), against the
-    definition-level table sqc_grid: every c left out of the rows has S_q(c)
-    within rounding of 0, the rows are closed under c -> -c, and the
-    sub-cube holds sqc_values' values.  The sub-cube's shape is pinned, so
-    rows that the product's zeros would drop cannot silently stay."""
+    """sqc_window's support against the definition-level table sqc_grid.
+    On the cube arange(-4, 5)^3, at qL below its width (every residue
+    reached, some twice) and at or above it (each c its own residue): every
+    c left out of the rows has S_q(c) within rounding of 0, the rows are
+    closed under c -> -c, and the sub-cube holds sqc_values' values.  The
+    sub-cube's shape is pinned, so rows that the product's zeros would drop
+    cannot silently stay.  On windows of width qL - 1, qL and qL + 1: the
+    whole cube within 1e-9 of sqc_grid."""
 
     CVALS = np.arange(-4, 5)
 
@@ -352,19 +381,19 @@ class TestWindowSupport:
         [
             (HYP625, 2, (4, 4, 4)),     # L = 1: odd c only
             (HYP625, 3, (9, 9, 9)),     # the whole window
-            (HYP625, 12, (5, 5, 5)),    # qL = 12: on the window
+            (HYP625, 12, (5, 5, 5)),    # qL = 12 > 9
             (CONG, 1, (5, 5, 5)),       # L = 2: even c only
             (CONG, 2, (3, 2, 2)),       # no c2 = 0 or c3 = 0 row
             (CONG, 4, (2, 3, 3)),       # no c1 = 0 row
-            (CONG, 6, (3, 2, 2)),       # qL = 12: on the window
+            (CONG, 6, (3, 2, 2)),       # qL = 12 > 9
             (L3, 1, (9, 3, 3)),         # L = 3: c2, c3 = 0 mod 3
             (L3, 2, (4, 4, 4)),
-            (L3, 3, (6, 3, 3)),         # qL = 9: on the window
+            (L3, 3, (6, 3, 3)),         # qL = 9
             (SPHERE_P7_L5, 1, (9, 9, 9)),
-            (SPHERE_P7_L5, 2, (4, 4, 4)),   # qL = 10: on the window
+            (SPHERE_P7_L5, 2, (4, 4, 4)),   # qL = 10 > 9
             (OBSTRUCTED, 1, None),
             (OBSTRUCTED, 2, None),
-            (OBSTRUCTED, 6, None),      # qL = 12: on the window
+            (OBSTRUCTED, 6, None),      # qL = 12 > 9
         ],
         ids=["L1-2", "L1-3", "L1-12", "L2-1", "L2-2", "L2-4", "L2-6", "L3-1", "L3-2",
              "L3-3", "L5-1", "L5-2", "obstructed-1", "obstructed-2", "obstructed-6"],
@@ -391,6 +420,23 @@ class TestWindowSupport:
         per_c = np.array(sqc_values(inst, q, list(itertools.product(*sub)))).reshape(shape)
         assert np.all(np.abs(got - per_c) <= 1e-9 * np.maximum(1.0, np.abs(per_c)))
 
+    @pytest.mark.parametrize("step", [-1, 0, 1], ids=["qL-1", "qL", "qL+1"])
+    @pytest.mark.parametrize("kw, q", [(HYP625, 6), (CONG, 3), (L3, 3)], ids=["L1-6", "L2-3", "L3-3"])
+    def test_widths_about_qL(self, kw, q, step):
+        # windows of width qL - 1, qL and qL + 1 reach all residues mod qL
+        # but one, or all of them, some twice; an even width leaves out c = 0
+        inst = make_instance(**kw)
+        width = q * inst.L + step
+        cvals = np.arange(-(width // 2), width // 2 + 1)
+        if width % 2 == 0:
+            cvals = cvals[cvals != 0]
+        assert len(cvals) == width
+        r = cvals % (q * inst.L)
+        want = sqc_grid(inst, q)[np.ix_(r, r, r)]
+        assert np.abs(want).max() > 1.0
+        got = _window_cube(inst, q, cvals)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
     def test_rows_on_a_strided_window(self, cong):
         # at q = 2, S_q(c) != 0 needs c1 = 0 and c2, c3 = 2 mod 4: the residue
         # table has live rows on every axis, but the window of c = 0 mod 4
@@ -408,9 +454,9 @@ class TestWindowSupport:
 
 class TestWindowRoute:
     """sqc_window against the definition-level sum, on a cube wider than qL
-    (the product on the residue cube, gathered once) where qL <= 60, and on
-    narrower cubes (the product on the window itself).  The oracle is the
-    whole table sqc_grid up to qL = 60; beyond, sqc_values on the whole cube
+    (every residue reached, some twice) where qL <= 60, and on narrower
+    cubes (each c its own residue).  The oracle is the whole table sqc_grid
+    up to qL = 60; beyond, sqc_values on the whole cube
     and brute_S on c where that is nonzero and on one where it vanishes; most S_q(c) vanish at
     L = 2, so the cubes include one of even c only, and each test requires
     a nonzero value among those it checks."""
@@ -490,16 +536,14 @@ def _amplitude_sum(form, q: int, L: int, scale: int, lam, target: int, c) -> Com
     ph2 = tab[(c[1] * np.arange(size)) % size]
     ph3 = tab[(c[2] * np.arange(size)) % size]
     total = 0j
-    nsol = 0
-    for s1, (amp, count) in enumerate(rows):
+    for s1, amp in enumerate(rows):
         total += tab[(c[0] * s1) % size] * _sum_masked_phase(amp, ph2, ph3)
-        nsol += count
-    return ComplexSum(total, int(sympy.totient(q)) * nsol)
+    return ComplexSum(total)
 
 
 class TestBatchedSums:
     """Every route through the batch kernel against the one-c oracle, `==` on
-    value and term count: a value does not depend on the batch it is in."""
+    the value: a value does not depend on the batch it is in."""
 
     # a repeated c, the zero frequency, negative entries and entries >= qL
     BATCH = [(1, 2, 0), (0, 0, 0), (-1, 3, -2), (1, 2, 0), (450, 1000, -777)]
@@ -612,7 +656,7 @@ class TestS1ClosedForm:
         for idx in itertools.product(range(7), repeat=3):
             want = lemma21_eval(inst, q1, q2, [int(cvals[i]) for i in idx])
             assert abs(got[idx] - want.value) <= 1e-12 * q1**1.5, idx
-            zeros += want.terms == 0
+            zeros += want.value == 0
         assert zeros > 0
 
     def test_sphere_2401(self):
@@ -666,6 +710,53 @@ class TestCharacterDecomposition:
                 t2 = calT2(inst, q2, 1, c).value
                 cs = calS(inst, q2, x, c).value
                 assert abs(t1 * t2 - cs) < 1e-8, (x, c)
+
+
+# the cross form under x = (0, 0, 1) mod 2, where the lam-phase is not 1
+CROSS_L2 = dict(CROSS, L=2, lam=(0, 0, 1))
+
+
+class TestLocusSums:
+    """calS and calT2 against their definition-level loops on small moduli:
+    each sum over beta = L sigma + lam is the residue amplitude at modulus
+    lL times the phase e_{lL^2}(k.lam), k = xbar c.  At L > 1 the frequencies
+    include some where that phase is not 1 and the sum is not 0."""
+
+    CS = ((0, 0, 0), (1, 2, 0), (2, 0, 0), (-2, 2, -2), (-3, 3, 3), (-2, -3, 0))
+
+    def _check(self, inst, mod, got, literal) -> None:
+        checked = 0
+        for x in [x for x in (1, 2, 5, 7) if math.gcd(x, mod) == 1][:2]:
+            for c in self.CS:
+                want = literal(x, c)
+                assert abs(got(x, c).value - want) <= 1e-9 * max(1.0, abs(want)), (x, c)
+                checked += abs(want) > 1e-6
+        assert checked > 0
+
+    @pytest.mark.parametrize(
+        "kw, l",
+        [({}, 1), ({}, 4), ({}, 6), (CONG, 1), (CONG, 3), (CONG, 4), (L3, 1), (L3, 2), (L3, 3),
+         (CROSS, 5), (CROSS_L2, 1), (CROSS_L2, 5)],
+        ids=["hyp-1", "hyp-4", "hyp-6", "cong-1", "cong-3", "cong-4", "L3-1", "L3-2", "L3-3",
+             "cross-5", "crossL2-1", "crossL2-5"],
+    )
+    def test_calS_matches_literal(self, kw, l):
+        inst = make_instance(**kw)
+        self._check(inst, l * inst.L**2, lambda x, c: calS(inst, l, x, c),
+                    lambda x, c: calS_literal(inst, l, x, c))
+
+    @pytest.mark.parametrize(
+        "kw, q2",
+        [({}, 4), ({}, 10), ({}, 12), (CONG, 3), (CONG, 4), (CONG, 5), (L3, 2), (L3, 4),
+         (CROSS, 5), (CROSS_L2, 3), (CROSS_L2, 7)],
+        ids=["hyp-4", "hyp-10", "hyp-12", "cong-3", "cong-4", "cong-5", "L3-2", "L3-4",
+             "cross-5", "crossL2-3", "crossL2-7"],
+    )
+    def test_calT2_matches_literal(self, kw, q2):
+        inst = make_instance(**kw)
+        nat = q2 // smooth_part(q2, inst.p0)
+        self._check(inst, nat * inst.L**2, lambda x, c: calT2(inst, q2, x, c),
+                    lambda x, c: calT2_literal(inst, q2, x, c))
 
 
 class TestBounds:
