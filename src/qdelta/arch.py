@@ -9,12 +9,16 @@ uniform trapezoid rule for the expansion side (pipeline.poisson_rhs).  Its
 amplitude vanishes with all its derivatives on the box edge, so the trapezoid
 rule converges spectrally with about 2 nodes per phase cycle.  The kernel
 amplitude and the singular integral's Gaussian mollifier both walk their
-grids in slabs of at most _SLAB_POINTS grid points (_slabs).  Each amplitude
-slab is contracted along x3 at once, so no n^3 array exists and the memory
-of an integral is O(slab + frequencies n^2); the mollifier makes one pass
-per node count for every width on it, in O(slab).  The Gauss-Legendre reference rule on [-1, 1] is
-computed once per node count and cached in-process; each grid maps it onto
-its own interval.
+grids in slabs of at most _SLAB_POINTS grid points (_slabs), each cropped to
+the x2 and x3 nodes of the weight support's widest cross-section over the
+slab's x1 rows (_support_slabs): w, F and h are evaluated only on that
+sub-box, which holds every node where w > 0, and a slab that meets no such
+node is skipped.  On a ball the crops hold about a third of the box's
+nodes.  Each amplitude slab is contracted along x3 at once, so no n^3 array
+exists and the memory of an integral is O(slab + frequencies n^2); the
+mollifier makes one pass per node count for every width on it, in O(slab).
+The Gauss-Legendre reference rule on [-1, 1] is computed once per node count
+and cached in-process; each grid maps it onto its own interval.
 
 The kernel h(x, y) = sum_{j>=1} (xj)^{-1} [omega(xj) - omega(|y|/(xj))] is
 built from a bump omega supported on [1/2, 1], so a point pays only for the
@@ -96,11 +100,26 @@ class WeightSpec:
     def values(self, x1, x2, x3) -> np.ndarray:
         """w on coordinate arrays broadcast against each other (open axes
         give w on the tensor grid without building the point array)."""
-        d1, d2, d3 = ((np.asarray(x, dtype=np.float64) - c) / self.radius
-                      for x, c in zip((x1, x2, x3), self.center))
+        u1, u2, u3 = (self.offsets2(x, i) for i, x in enumerate((x1, x2, x3)))
         if self.profile == "ball":
-            return _bump_profile(d1 * d1 + d2 * d2 + d3 * d3)
-        return _bump_profile(d1 * d1) * _bump_profile(d2 * d2) * _bump_profile(d3 * d3)
+            return _bump_profile(u1 + u2 + u3)
+        return _bump_profile(u1) * _bump_profile(u2) * _bump_profile(u3)
+
+    def offsets2(self, x, axis: int) -> np.ndarray:
+        """Squared offsets ((x - center) / radius)^2 along one axis, as
+        values() computes them."""
+        d = (np.asarray(x, dtype=np.float64) - self.center[axis]) / self.radius
+        return d * d
+
+    def section(self, u1_min: float) -> float | None:
+        """Bound on the squared offsets along x2 and x3 of every point where
+        w > 0 and the squared x1 offset is at least u1_min; None when there
+        is no such point.  w > 0 needs each squared offset below 1 on a box,
+        and their sum below 1 on a ball, where the float sum can undercut the
+        exact one by 2^-52 relative: 1e-12 covers that."""
+        if u1_min >= 1.0:
+            return None
+        return 1.0 - u1_min + 1e-12 if self.profile == "ball" else 1.0
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
@@ -301,12 +320,15 @@ _GL_REFINE = 1.35
 # singular_integral's first mollifier width, per unit of max(1, |m0|)
 _MOLLIFIER_EPS0 = 0.2
 
-# grid points per slab of _amplitude_grid and _mollified: 512 KiB per float64
-# temporary.  Measured on the identity and osc_monitor inputs (2^14 to 2^20
-# and one block): peak RSS grows with the slab above 2^16, time is flat or
-# worse.  With each slab contracted at once, 2^14 cuts osc_monitor's minor
-# page faults per round from 24k to 3.8k but runs slower there and on
-# identity (4x the slabs, each with its own call overhead)
+# grid points per slab of _amplitude_grid and _mollified before the crop to
+# the support: 512 KiB per float64 temporary, about a third of that on a
+# ball once cropped.  Measured on uncropped slabs of the identity and
+# osc_monitor inputs (2^14 to 2^20 and one block): peak RSS grew with the
+# slab above 2^16, time was flat or worse, and 2^14 cut osc_monitor's minor
+# page faults per round from 24k to 3.8k but ran slower there and on
+# identity (4x the slabs, each with its own call overhead).  On cropped
+# slabs 2^14 still takes fewer faults there (7.1k against 17-20k per round),
+# but its CPU per round stayed within the run-to-run spread (2-core machine)
 _SLAB_POINTS = 1 << 16
 
 
@@ -393,6 +415,24 @@ def _slabs(nodes):
             yield slice(i, i + rows), slice(j, j + cols)
 
 
+def _support_slabs(weight: WeightSpec, axes):
+    """The slabs of _slabs over the tensor grid `axes`, each cropped to the
+    support's widest cross-section over its x1 rows: (x1 slice, x2 slice,
+    x3 slice) triples in C order, the x2 and x3 slices the node ranges where
+    the squared offset is within weight.section of the rows' least squared
+    x1 offset.  A slab with no node in that range is left out, so every
+    node where w > 0 lies in exactly one triple's sub-box."""
+    u = [weight.offsets2(x, i) for i, x in enumerate(axes)]
+    for s0, s1 in _slabs(tuple(len(x) for x in axes)):
+        bound = weight.section(float(u[0][s0].min()))
+        if bound is None:
+            continue
+        j = np.flatnonzero(u[1][s1] <= bound)
+        k = np.flatnonzero(u[2] <= bound)
+        if j.size and k.size:
+            yield s0, slice(s1.start + j[0], s1.start + j[-1] + 1), slice(k[0], k[-1] + 1)
+
+
 def _axis_factors(axes, wts, freqs, r: float) -> list[np.ndarray]:
     """Quadrature-weighted phase matrices P_i[a, j] = w_j e_r(-f_a t_j) along
     each axis, one row per frequency f_a in freqs[i]."""
@@ -417,36 +457,42 @@ def _amplitude_grid(
     yscale != 1 arises when the kernel scale is decoupled from the
     geometric scale sqrt(N)/L.
 
-    A is never held whole.  Each slab (_slabs) computes w, F - m0 and h_many
-    as one evaluation over the whole grid would (each value depends on its
-    own point alone: w and F are pointwise, and h_many gives a point the
-    scalar C(r) less its own window's terms), and is contracted at once
-    along x3 by one real GEMM into its own rows of the complex (n0 n1, m2)
-    intermediate.  Then x2 (complex matmuls per x1 node) and x1 (one
-    complex GEMM) follow, so memory is O(slab + m2 n0 n1 + m1 m2 n0)."""
+    A is never held whole.  Each slab, cropped to the support
+    (_support_slabs), computes w, F - m0 and h_many as one evaluation over
+    the whole grid would (each value depends on its own point alone: w and
+    F are pointwise, and h_many gives a point the scalar C(r) less its own
+    window's terms), and is contracted at once along x3, with the rows of
+    P2^T its crop spans, into its own entries of the zero-initialised
+    complex (n0, n1, m2) intermediate: A is 0 outside the crops.  Then x2
+    (complex matmuls per x1 node) and x1 (one complex GEMM) follow, so
+    memory is O(slab + m2 n0 n1 + m1 m2 n0)."""
     axes, wts = box(instance.weight, nodes)
     p0, p1, p2 = factors(axes, wts)
-    n0, n1, n2 = nodes
-    # P2^T as float64 columns (Re, Im) per row of P2: a real slab times it
-    # is the x3 stage, and its rows read back as complex
+    n0, n1, _ = nodes
+    # P2^T as float64 columns (Re, Im) per row of P2: a real slab times its
+    # rows is the x3 stage, and the rows of t read back as complex
     p2 = np.ascontiguousarray(p2.T).view(np.float64)
-    t = np.empty((n0 * n1, p2.shape[1]))
+    # t is zeroed by fill, and each slab's product is copied in from its own
+    # GEMM: with np.zeros, or a stacked matmul written into t's strided
+    # sub-box, the identity benchmark's peak RSS read 53.5-53.8 MB in place
+    # of 52.0-52.2 at some checkout path lengths (a different heap layout)
+    t = np.empty((n0, n1, p2.shape[1]))
+    t.fill(0.0)
     live = False
-    row = 0  # _slabs runs in C order, so each slab's rows follow the last
-    for s0, s1 in _slabs(nodes):
-        grid = np.ix_(axes[0][s0], axes[1][s1], axes[2])
+    for s0, s1, s2 in _support_slabs(instance.weight, axes):
+        grid = np.ix_(axes[0][s0], axes[1][s1], axes[2][s2])
         slab = instance.weight.values(*grid)
         mask = slab > 0.0
-        if np.any(mask):
-            y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
-            slab[mask] *= kernel.h_many(r, y)
-            live = live or bool(np.any(slab))
-        rows = slab.shape[0] * slab.shape[1]
-        np.matmul(slab.reshape(rows, n2), p2, out=t[row : row + rows])
-        row += rows
+        if not np.any(mask):
+            continue
+        y = yscale * (form_values(instance.form, *grid)[mask] - instance.m0)
+        slab[mask] *= kernel.h_many(r, y)
+        live = live or bool(np.any(slab))
+        rows, cols, _ = slab.shape
+        t[s0, s1] = (slab.reshape(rows * cols, -1) @ p2[s2]).reshape(rows, cols, -1)
     if not live:
         return None
-    t = p1 @ t.view(np.complex128).reshape(n0, n1, -1)
+    t = p1 @ t.view(np.complex128)
     return (p0 @ t.reshape(n0, -1)).reshape(len(p0), len(p1), -1)
 
 
@@ -518,21 +564,22 @@ def _mollified(instance: ProblemInstance, nodes: int, widths) -> list[float]:
     """int w(t) phi_e(F(t) - m0) dt with a Gaussian phi_e of each width e,
     on one nodes^3 Gauss-Legendre grid over the support box.
 
-    One pass over the grid in slabs (_slabs): per slab, w and F - m0 are
-    evaluated once, the weighted amplitude W = w w_i w_j w_k and y = F - m0
-    are kept where w > 0 only, and every width adds sum W exp(-(y/e)^2 / 2)
-    to its own sum.  Memory is O(_SLAB_POINTS) at any node count."""
+    One pass over the grid in slabs cropped to the support
+    (_support_slabs): per slab, w and F - m0 are evaluated once, the
+    weighted amplitude W = w w_i w_j w_k and y = F - m0 are kept where w > 0
+    only, and every width adds sum W exp(-(y/e)^2 / 2) to its own sum.
+    Memory is O(_SLAB_POINTS) at any node count."""
     axes, wts = _gl_box(instance.weight, (nodes, nodes, nodes))
     sums = [0.0] * len(widths)
-    for s0, s1 in _slabs((nodes, nodes, nodes)):
-        grid = np.ix_(axes[0][s0], axes[1][s1], axes[2])
+    for s0, s1, s2 in _support_slabs(instance.weight, axes):
+        grid = np.ix_(axes[0][s0], axes[1][s1], axes[2][s2])
         w = instance.weight.values(*grid)
         mask = w > 0.0
         if not np.any(mask):
             continue
         w *= wts[0][s0, None, None]
         w *= wts[1][None, s1, None]
-        w *= wts[2]
+        w *= wts[2][s2]
         amp = w[mask]
         y = form_values(instance.form, *grid)[mask]
         y -= instance.m0

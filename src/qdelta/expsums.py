@@ -171,7 +171,7 @@ def _amplitude_table(form, q: int, L: int, scale: int, lam, target: int) -> np.n
     """sum_s A(s) e_{qL}(k.s) for every k mod qL, as a (qL)^3 array."""
     rows = _amplitude_rows(form, q, L, scale, lam, target)
     # filled in place: a list of row arrays stacked at the end fragments the
-    # heap where many tables stay cached (calS over l)
+    # heap where tables are built one after another (calS over l)
     amp = np.empty((q * L,) * 3)
     for s1, row in enumerate(rows):
         amp[s1] = row
@@ -306,7 +306,9 @@ def lemma21_eval(instance: ProblemInstance, q1: int, q2: int, c) -> ComplexSum:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+# one table: every caller walks l in its outer loop, and the (lL)^3
+# complex tables of a walk to l = 200 would hold about 5 GB together
+@lru_cache(maxsize=1)
 def _cal_grid(instance: ProblemInstance, l: int) -> np.ndarray:
     """sum_sigma A(sigma) e_{lL}(k.sigma) for every k mod lL, A the amplitude
     of S_q(c) at q = l: S_l's sum over its locus beta = L sigma + lam_N,

@@ -172,32 +172,36 @@ def _solutions_sliced(instance: ProblemInstance) -> np.ndarray:
     lo3, hi3 = math.ceil(lo[perm[2]] * s), math.floor(hi[perm[2]] * s)
     lam3 = lam[perm[2]]
 
-    # the x1-only and x2-only terms of bb and disc, once per axis
-    b1, c1, s1 = a13 * ax1, a12 * ax1, a11 * ax1 * ax1
-    b2, s2 = a23 * ax2, a22 * ax2 * ax2 - mN
+    # disc = P1[x1] + P2[x2] + K[x1] x2, three passes per block, with the
+    # x1-only and x2-only parts computed once per axis.  Expanded, disc has
+    # seven monomials, and the termwise bound is the sum of their largest
+    # absolute values on the box.  Every int64 value below, from the
+    # products inside P1, P2 and K x2 to each partial sum, is bounded by a
+    # subset of those terms: K itself by the x1 x2 terms at |x2| = 1 (when
+    # every x2 is 0, K may wrap, but K x2 is 0)
+    b1, b2 = a13 * ax1, a23 * ax2
+    p1 = b1 * b1 - 4 * a33 * a11 * ax1 * ax1
+    p2 = b2 * b2 - 4 * a33 * (a22 * ax2 * ax2 - mN)
+    k1 = (2 * a13 * a23 - 4 * a33 * a12) * ax1
     cols = max(1, min(len(ax2), _BLOCK_PAIRS))
     rows = _BLOCK_PAIRS // cols
-    # (x1, x2, bb, root) of every pair whose disc is a perfect square
-    found = [(np.empty(0, dtype=np.int64),) * 4]
+    # (x1, x2, root) of every pair whose disc is a perfect square
+    found = [(np.empty(0, dtype=np.int64),) * 3]
     for i in range(0, len(ax1), rows):
         i1 = slice(i, i + rows)
         for j in range(0, len(ax2), cols):
             i2 = slice(j, j + cols)
-            bb = b1[i1, None] + b2[None, i2]
-            # every partial sum is bounded by the termwise bound above
-            disc = c1[i1, None] * ax2[None, i2]
-            disc += s1[i1, None]
-            disc += s2[None, i2]
-            disc *= -4 * a33
-            disc += bb * bb
+            disc = k1[i1, None] * ax2[None, i2]
+            disc += p1[i1, None]
+            disc += p2[None, i2]
             pair = np.flatnonzero(disc >= 0)
             d = disc.ravel()[pair]
             r = _square_root(d)
             exact = r * r == d
-            pair = pair[exact]
-            row, col = np.divmod(pair, disc.shape[1])
-            found.append((ax1[i + row], ax2[j + col], bb.ravel()[pair], r[exact]))
-    x1, x2, bb, r = (np.concatenate(part) for part in zip(*found))
+            row, col = np.divmod(pair[exact], disc.shape[1])
+            found.append((ax1[i + row], ax2[j + col], r[exact]))
+    x1, x2, r = (np.concatenate(part) for part in zip(*found))
+    bb = a13 * x1 + a23 * x2
     num = -bb[:, None] + r[:, None] * np.array([1, -1])
     x3 = num // (2 * a33)
     keep = (num % (2 * a33) == 0) & ((x3 - lam3) % L == 0) & (lo3 <= x3) & (x3 <= hi3)

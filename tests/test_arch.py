@@ -401,6 +401,22 @@ class TestSingularIntegral:
             assert want > 0
             assert abs(value - want) <= 1e-13 * want
 
+    def test_mollifier_walks_the_support(self, monkeypatch):
+        # the ball fills about 21% of its 128^3 Gauss-Legendre box, and the
+        # slabs cropped to its cross-sections about a third: a walk of the
+        # whole box would evaluate w on every node
+        inst = make_instance()
+        real = WeightSpec.values
+        points = []
+
+        def counting(self, x1, x2, x3):
+            points.append(np.broadcast(x1, x2, x3).size)
+            return real(self, x1, x2, x3)
+
+        monkeypatch.setattr(WeightSpec, "values", counting)
+        _mollified(inst, 128, [0.1])
+        assert sum(points) < 0.4 * 128**3, sum(points) / 128**3
+
     def test_memory_is_slab_sized(self):
         # the full-grid ladder held three 320^3 float64 arrays, 750 MiB
         inst = make_instance()
@@ -521,6 +537,50 @@ class TestGridLayer:
         want = contraction_oracle(ref, freqs, r)
         assert got.shape == want.shape == (4, 2, 3)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("box", [_gl_box, _trapezoid_box], ids=["gl", "trapezoid"])
+    @pytest.mark.parametrize("profile", ["ball", "box"])
+    @pytest.mark.parametrize("slab", [7, 50, 300])
+    def test_support_slabs_cover_the_support(self, monkeypatch, box, profile, slab):
+        # on the grid of one weight, seeded random weights that overlap it:
+        # the crops lie inside _slabs' slabs, are disjoint, and hold every
+        # node where w > 0
+        monkeypatch.setattr(arch, "_SLAB_POINTS", slab)
+        rng = np.random.default_rng(slab)
+        for nodes in ((9, 10, 11), (12, 12, 12), (13, 8, 7)):
+            grid_weight = WeightSpec(center=(0.3, -0.2, 0.5), radius=0.8)
+            axes, _ = box(grid_weight, nodes)
+            slabs = list(arch._slabs(nodes))
+            for trial in range(8):
+                center = tuple(rng.uniform(-0.6, 0.6, 3) + grid_weight.center)
+                # the first trial is the grid's own weight
+                weight = WeightSpec(center=center, radius=rng.uniform(0.05, 1.0),
+                                    profile=profile) if trial else grid_weight
+                w = weight.values(*np.ix_(*axes))
+                cover = np.zeros(nodes, dtype=int)
+                for s0, s1, s2 in arch._support_slabs(weight, axes):
+                    assert any(s0 == t0 and t1.start <= s1.start < s1.stop <= t1.stop
+                               for t0, t1 in slabs)
+                    cover[s0, s1, s2] += 1
+                assert cover.max() <= 1
+                assert np.all(cover[w > 0.0] == 1), (nodes, trial)
+                assert trial or np.count_nonzero(w) > 0
+
+    @pytest.mark.parametrize("box", [_gl_box, _trapezoid_box], ids=["gl", "trapezoid"])
+    @pytest.mark.parametrize("profile", ["ball", "box"])
+    def test_support_off_the_nodes_has_no_slab(self, box, profile):
+        # a support between two nodes of an axis, or outside the grid,
+        # meets no node: no slab is walked, and w is 0 on the whole grid
+        axes, _ = box(WeightSpec(center=(0.0, 0.0, 0.0), radius=1.0), (10, 11, 12))
+        gaps = [0.5 * (x[4] + x[5]) for x in axes]
+        for axis in range(3):
+            center = [0.0, 0.0, 0.0]
+            center[axis] = gaps[axis]
+            weight = WeightSpec(center=tuple(center), radius=0.01, profile=profile)
+            assert list(arch._support_slabs(weight, axes)) == []
+            assert not np.any(weight.values(*np.ix_(*axes)))
+        far = WeightSpec(center=(3.0, 0.0, 0.0), radius=0.5, profile=profile)
+        assert list(arch._support_slabs(far, axes)) == []
 
     def test_zero_amplitude_is_none(self):
         # past the support bound of h over the form's range the amplitude is

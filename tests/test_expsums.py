@@ -14,6 +14,7 @@ from qdelta.expsums import (
     ComplexSum,
     _S_sums,
     _amplitude_rows,
+    _cal_grid,
     _exp_table,
     _s1_values,
     _sum_masked_phase,
@@ -757,6 +758,23 @@ class TestLocusSums:
         nat = q2 // smooth_part(q2, inst.p0)
         self._check(inst, nat * inst.L**2, lambda x, c: calT2(inst, q2, x, c),
                     lambda x, c: calT2_literal(inst, q2, x, c))
+
+
+    def test_walk_over_l_holds_one_table(self):
+        # every caller walks l in its outer loop, so one cached (lL)^3 table
+        # serves it: after l = 1..40 the traced memory still held is below
+        # the two largest tables (the l = 40 table alone is 1.0 MB; a cache
+        # of 64 would hold all 40, 10.8 MB)
+        inst = make_instance()
+        _cal_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            for l in range(1, 41):
+                calS(inst, l, 1, (1, 2, 0))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 16 * 40**3 <= held < 16 * (40**3 + 39**3), held
 
 
 class TestBounds:

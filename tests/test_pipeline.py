@@ -186,6 +186,39 @@ class TestEnumeration:
         assert (root * root == d).tolist() == [is_square(v) for v in range(10**5)]
         assert all(root[v * v] == v for v in range(317))
 
+    def test_kernel_just_under_disc_bound(self):
+        # a cross form, N = 1, and a box around a solution x0 far out: the
+        # termwise bound on |disc| sits just under 2^62, and every int64
+        # partial sum of disc = P1 + P2 + K x2 must still be exact
+        form = QForm(3, 5, 7, 2, 4, -6)
+        a11, a22, a33, a12, a13, a23 = form.coefficients()
+
+        def setup(t: int):
+            x0 = (t, t // 2 + 1, -t // 3)
+            m0 = form(x0)
+            X1, X2 = t + 2, t // 2 + 3  # the outermost integers at radius 2.5
+            bound = (abs(a13) * X1 + abs(a23) * X2) ** 2 + 4 * abs(a33) * (
+                abs(a11) * X1 * X1 + abs(a22) * X2 * X2 + abs(a12) * X1 * X2 + abs(m0))
+            return x0, m0, bound
+
+        lo, hi = 1, 2**31
+        while hi - lo > 1:  # the largest t whose bound is below 2^62
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if setup(mid)[2] < pipeline._DISC_BOUND else (lo, mid)
+        x0, m0, bound = setup(lo)
+        assert pipeline._DISC_BOUND * (1 - 1e-7) < bound < pipeline._DISC_BOUND
+        weight = WeightSpec(center=tuple(float(v) for v in x0), radius=2.5)
+        inst = ProblemInstance(form, m0, 5, 0, CongruenceDatum(1, (0, 0, 0)), weight)
+        pts = _solutions_sliced(inst)
+        assert list(x0) in pts.tolist()
+        assert np.array_equal(pts, _pair_loop(inst))
+        # one step further out, the preflight refuses the box
+        x0, m0, _ = setup(lo + 1)
+        weight = WeightSpec(center=tuple(float(v) for v in x0), radius=2.5)
+        inst = ProblemInstance(form, m0, 5, 0, CongruenceDatum(1, (0, 0, 0)), weight)
+        with pytest.raises(OverflowError, match="2\\^62"):
+            _solutions_sliced(inst)
+
     def test_discriminant_overflow_preflight(self):
         # inside the per-axis box bound, but 4 a33 a11 x1^2 is far beyond 2^62
         inst = make_instance(coeffs=(10**6, 10**6, 10**6), h=5)
