@@ -13,24 +13,24 @@ The expansion evaluates, term by term over (q, c),
 
     (sqrt(N)/L) * S_q(c) * e_{qL^2}(c.lam_N) * I_{q/Q}(w; c/L) / (qL)^3,
 
-on the dual window, the cube |c|_inf <= c_max, but only on the part that the
-support of S_q(c) spans.  Per q, expsums.sqc_window (S1 in closed form times S2) gives S_q(c)
-first, on the sub-cube its support spans: the window rows whose slice of
-S_q(c) is not identically 0, closed under c -> -c.  A q without support is
-skipped before any amplitude is evaluated.  The oscillatory integral comes
-from arch on a per-q trapezoid grid (arch._trapezoid_box, with
-QuadratureSpec.trapezoid_nodes_for per q).  Per q, e_{qL^2}(c.lam_N) I(c) on
-the sub-cube is one pass of arch._amplitude_grid, whose axis factors hold the
-supported rows only: each slab of the real kernel amplitude is contracted
-along x3 as soon as it is computed, then x2 and x1 follow, over the supported
-c3 >= 0; U(-c) = conj U(c) gives the rest.  The amplitude is never held
-whole.  Before anything is allocated, a memory preflight rejects
+on the dual window, the cube |c|_inf <= c_max.  Per q, expsums.sqc_window
+(S1 in closed form times S2) gives S_q(c) first, on the sub-cube its support
+spans: the window rows whose slice of S_q(c) is not identically 0, closed
+under c -> -c.  A q without support is skipped before any amplitude is
+evaluated.  The oscillatory integral comes from arch on a per-q trapezoid
+grid (arch._trapezoid_box, with QuadratureSpec.trapezoid_nodes_for per q).
+Per q, e_{qL^2}(c.lam_N) I(c) on the sub-cube is one pass of
+arch._amplitude_grid, whose axis factors hold the supported rows only: each
+slab of the real kernel amplitude is contracted along x3 as soon as it is
+computed, then x2 and x1 follow, over the supported c3 >= 0;
+U(-c) = conj U(c) gives the rest.  The amplitude is never held whole.  Then
+the sub-cube is split into c = 0, exceptional and ordinary c
+(qform._classify_array), so no array spans the whole window unless a q's
+support does.  Before anything is allocated, a memory preflight rejects
 (ValueError) an expansion whose amplitude slabs, contraction intermediates,
-window, S_q(c) factor product and S2 residue table exceed _MEMORY_BUDGET.
-Two masks over the window split it into exceptional and ordinary c, c = 0 is
-its centre, and each q reads them on its sub-cube; the three partial sums add
-up to the total by construction.  Nodes per q, the capped q and the terms
-evaluated per q are reported too.
+window, S_q(c) factor product and S2 residue table exceed _MEMORY_BUDGET,
+or (OverflowError) whose window leaves the int64 classifier's range.  Nodes
+per q, the capped q and the terms per q are reported too.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .arch import (
 )
 from .expsums import sqc_table_peak, sqc_window
 from .localdens import L_one_psi0, SingularSeries, singular_series
-from .qform import ProblemInstance, _classify_array
+from .qform import ProblemInstance, _classify_array, classifier_range_check
 
 _ENUM_AXIS_BOUND = 10**6
 # (x1, x2) pairs per block of the sliced kernel: 128 KiB per int64 temporary.
@@ -81,7 +81,7 @@ class EnumerationResult:
 
 @dataclass(frozen=True)
 class DeltaExpansion:
-    """Truncated (q, c) double sum with classified partial sums.
+    """Truncated (q, c) double sum split into c = 0, exceptional and ordinary c.
 
     For an exceptional c (F*(c) = 0, or m0 det F*(c) a nonzero square N(c)^2)
     the paper rewrites the sum over q as r-integrals of I_r(w; c/L) / r,
@@ -279,13 +279,13 @@ def default_c_max(instance: ProblemInstance) -> int:
 # bytes poisson_rhs may hold at once; over it, expansion_plan raises
 _MEMORY_BUDGET = 2 << 30
 _TAIL_BUDGET_FRAC = 0.01  # reported shell-mass budget, per unit of sqrt(N)
-# window bytes per dual frequency c in poisson_rhs, an upper bound: the
-# classification, masks, S_q(c) on its support's sub-cube and the terms
-# peaked at 34 to 36.3 bytes per c (congruence and obstructed at c_max = 60,
-# hyperboloid at 80, cross form at 100), traced at 24 nodes where the window
-# outweighs the rest; 32% margin.  Where qL >= 2 c_max + 1, sqc_window holds
-# its whole-window product beside the sub-cube it gathers: sqc_table_peak's
-# product term counts that
+# window bytes per dual frequency c in poisson_rhs, an upper bound: a q's
+# terms on its support's sub-cube (16 bytes per c) and their classification
+# (three 8-byte arrays) peaked at 40.3 bytes per c on the hyperboloid at
+# c_max = 80, whose support spans the window (5.1 to 5.3 on congruence at 60
+# and the cross form at 100, 0.3 on the obstructed sphere at 60), traced at
+# 24 nodes; 19% margin.  Where qL >= 2 c_max + 1, sqc_window also holds its
+# whole-window product: sqc_table_peak's product term counts that
 _WINDOW_BYTES = 48
 # bytes per point of one amplitude slab (w, F - m0 and h_many's working
 # set), an upper bound: traced at 115 on a box weight and 93 on a ball
@@ -308,8 +308,9 @@ def expansion_plan(
     16 (c_max + 1) n m after x2 and 16 (c_max + 1) m^2 after x1, two stages
     held at once), _WINDOW_BYTES per point of the m^3 window and the
     largest S_q(c) S2 table and factor product (expsums.sqc_table_peak),
-    and raises ValueError above _MEMORY_BUDGET (or on q_max < 1,
-    c_max < 0): nothing is clamped to fit."""
+    and raises ValueError above _MEMORY_BUDGET (or on q_max < 1, c_max < 0)
+    and OverflowError outside the int64 classifier's range: nothing is
+    clamped to fit."""
     if kernel is None:
         kernel = default_kernel(instance)
     if q_max is None:
@@ -318,6 +319,7 @@ def expansion_plan(
         c_max = default_c_max(instance)
     if q_max < 1 or c_max < 0:
         raise ValueError(f"expansion needs q_max >= 1 and c_max >= 0, got {q_max} and {c_max}")
+    classifier_range_check(instance, c_max)
     yscale = (float(instance.Q) / kernel.Q) ** 2
     fr = form_range(instance)
     nodes = []
@@ -361,21 +363,9 @@ def poisson_rhs(
     prefac = yscale * instance.sqrtN / L
     cvals = np.arange(-c_max, c_max + 1, dtype=np.int64)
 
-    # the window cube, classified once; its centre c = 0 is type II, so only
-    # the exceptional mask needs it cleared.  The shell is the cube's surface
-    exc_mask = np.logical_or(*_classify_array(instance, *np.ix_(cvals, cvals, cvals)))
-    ord_mask = ~exc_mask
-    exc_mask[c_max, c_max, c_max] = False
-    zero_mask = np.zeros_like(exc_mask)
-    zero_mask[c_max, c_max, c_max] = True
-    shell_mask = np.ones_like(exc_mask)
-    shell_mask[1:-1, 1:-1, 1:-1] = False
-
-    zero = 0j
-    exceptional = 0j
-    ordinary = 0j
+    zero = exceptional = ordinary = 0j
     shell = 0.0
-    terms_per_q = []
+    terms_per_q = [0] * q_max
     for q, nodes in enumerate(nodes_per_q, 1):
         rk = q / Q  # kernel scale (amplitude)
         rp = q / Qgeo  # geometric scale (phase)
@@ -383,7 +373,6 @@ def poisson_rhs(
         qL2 = q * L * L
         window = sqc_window(instance, q, cvals)
         if window is None:
-            terms_per_q.append(0)
             continue
         rows, terms = window
         # the amplitude is real and the lam-phase rows are conjugate under
@@ -406,7 +395,6 @@ def poisson_rhs(
             instance, kernel, rk, (nodes, nodes, nodes), factors, yscale, box=_trapezoid_box
         )
         if U is None:
-            terms_per_q.append(0)
             continue
         # prefac S_q(c) U(c) / (qL)^3 in place, U mirrored onto c3 < 0
         terms *= prefac
@@ -414,22 +402,27 @@ def poisson_rhs(
         terms[:, :, :neg] *= np.conj(U[::-1, ::-1, ::-1][:, :, :neg])
         terms /= qL**3
         del U
-        sub = np.ix_(*rows)
-        zero += complex(terms[zero_mask[sub]].sum())
-        exceptional += complex(terms[exc_mask[sub]].sum())
-        ordinary += complex(terms[ord_mask[sub]].sum())
-        shell += float(np.abs(terms[shell_mask[sub]]).sum())
-        terms_per_q.append(terms.size)
+        # c = 0 is type II: the exceptional c leave it to the zero part
+        c1, c2, c3 = np.ix_(*(cvals[r] for r in rows))
+        exc = np.logical_or(*_classify_array(instance, c1, c2, c3))
+        centre = (c1 == 0) & (c2 == 0) & (c3 == 0)
+        zero += complex(terms[centre].sum())
+        ordinary += complex(terms[~exc].sum())
+        exc &= ~centre
+        exceptional += complex(terms[exc].sum())
+        outer = (np.abs(c1) == c_max) | (np.abs(c2) == c_max) | (np.abs(c3) == c_max)
+        shell += float(np.abs(terms[outer]).sum())
+        terms_per_q[q - 1] = terms.size
         # release this q's sub-cube before the next q builds its own: the
         # loop's peak memory is then one q's arrays
-        del terms
+        del terms, exc, centre, outer
     return DeltaExpansion(
         Q=Q,
         q_max=q_max,
         c_max=c_max,
-        zero_part=complex(zero),
-        exceptional_part=complex(exceptional),
-        ordinary_part=complex(ordinary),
+        zero_part=zero,
+        exceptional_part=exceptional,
+        ordinary_part=ordinary,
         shell_mass=shell,
         tail_budget=_TAIL_BUDGET_FRAC * instance.sqrtN,
         terms_per_q=tuple(terms_per_q),

@@ -276,21 +276,28 @@ class ProblemInstance:
         return psi0(self.form, self.m0)
 
 
+def classifier_range_check(instance: ProblemInstance, c_max: int) -> None:
+    """Refuse (OverflowError) |c|_inf <= c_max unless
+    |m0 det| * sum|F* coefficients| * c_max^2 < 2^62: _classify_array's range."""
+    scale = abs(instance.m0 * instance.form.det())
+    if scale * sum(map(abs, instance.form.dual().coefficients())) * c_max**2 >= 1 << 62:
+        raise OverflowError("m0 * det * F*(c) exceeds the int64 classifier's range")
+
+
 def _classify_array(instance: ProblemInstance, c1, c2, c3):
     """Masks (type_i, type_ii) of the exceptional Poisson variables among
     integer arrays c1, c2, c3 (broadcast against each other): type II is
     F*(c) = 0 (the zero vector included), type I is m0 * det * F*(c) a
-    nonzero square.  Fixed-width int64 arithmetic, refused (OverflowError)
-    unless |m0 det| * sum|F* coefficients| * max|c|^2 < 2^62: then no step
-    wraps and the rounded float square root is the exact one."""
-    dual, scale = instance.form.dual(), instance.m0 * instance.form.det()
-    cmax = max(int(np.max(np.abs(c), initial=0)) for c in (c1, c2, c3))
-    if abs(scale) * sum(map(abs, dual.coefficients())) * cmax**2 >= 1 << 62:
-        raise OverflowError("m0 * det * F*(c) exceeds the int64 classifier's range")
-    fstar = form_values(dual, c1, c2, c3)
-    prod = scale * fstar
-    root = np.floor(np.sqrt(np.maximum(prod, 0).astype(np.float64)) + 0.5).astype(np.int64)
-    return (prod > 0) & (root * root == prod), fstar == 0
+    nonzero square.  Fixed-width int64 arithmetic, refused outside
+    classifier_range_check's range: inside it no step wraps and the rounded
+    float square root is the exact one.  It holds three 8-byte arrays of c's shape at most."""
+    classifier_range_check(instance, max(int(np.max(np.abs(c), initial=0)) for c in (c1, c2, c3)))
+    # m0 det != 0, so prod = 0 exactly where F*(c) = 0
+    prod = form_values(instance.form.dual(), c1, c2, c3)
+    prod *= instance.m0 * instance.form.det()
+    root = np.floor(np.sqrt(np.maximum(prod, 0.0)) + 0.5).astype(np.int64)
+    root *= root
+    return (prod > 0) & (root == prod), prod == 0
 
 
 def classify_c(instance: ProblemInstance, c) -> CClass:

@@ -373,6 +373,26 @@ class TestSubcommands:
         assert "resource bound" in err and "4846 nodes per axis" in err
         assert not (tmp_path / "compare.json").exists()
 
+    def test_exit_code_3_on_classifier_range(self, cfg_file, tmp_path, capsys, monkeypatch):
+        # m0 det F*(c) at |c|_inf = 30 is outside the int64 classifier's
+        # range; the plan refuses it before the main-term work starts
+        cfg = cfg_file.read_text()
+        for old, new in (("a11 = 1\n", "a11 = 1000\n"), ("a22 = 1\n", "a22 = 1000\n"),
+                         ("a33 = -1\n", "a33 = 1000\n"), ("m0 = 1\n", "m0 = 10\n"),
+                         ("p0 = 5\n", "p0 = 7\n")):
+            cfg = cfg.replace(old, new)
+        p = tmp_path / "range.cfg"
+        p.write_text(cfg + "q_max = 1\nc_max = 30\n")
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("main-term work ran before the classifier's range check")
+
+        monkeypatch.setattr(cli, "predict_main", unreached)
+        rc = main(["compare", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "int64 classifier" in capsys.readouterr().err
+        assert not (tmp_path / "compare.json").exists()
+
     def test_exit_code_3_on_int64_overflow(self, cfg_file, tmp_path, capsys):
         # the box fits the per-axis bound; the x3-discriminant does not fit int64
         cfg = cfg_file.read_text().replace("h = 1", "h = 5")

@@ -271,6 +271,59 @@ class TestExpansionBookkeeping:
         with pytest.raises(OverflowError, match="int64 classifier"):
             poisson_rhs(inst, q_max=1, c_max=30)
 
+    def test_plan_refuses_classifier_range(self, monkeypatch):
+        # the instance above: m0 det * sum|F* coefficients| = 3e16, so
+        # |c|_inf <= 12 is inside the range and 13 is not.  The plan refuses
+        # the window before any S_q(c) or amplitude is evaluated
+        inst = make_instance(coeffs=(1000, 1000, 1000), m0=10, p0=7)
+        with pytest.raises(OverflowError, match="int64 classifier"):
+            pipeline.expansion_plan(inst, q_max=1, c_max=30)
+        with pytest.raises(OverflowError, match="int64 classifier"):
+            pipeline.expansion_plan(inst, q_max=1, c_max=13)
+        assert pipeline.expansion_plan(inst, q_max=1, c_max=12)[2] == 12
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("evaluated before the range refusal")
+
+        monkeypatch.setattr(pipeline, "sqc_window", unreached)
+        monkeypatch.setattr(pipeline, "_amplitude_grid", unreached)
+        with pytest.raises(OverflowError, match="int64 classifier"):
+            poisson_rhs(inst, q_max=1, c_max=30)
+
+    def test_no_window_array_without_support(self):
+        # S_q(c) of the obstructed sphere is 0 at every q, so no array spans
+        # the 121^3 window; classifying it would hold 8-byte arrays of 14 MiB
+        inst = make_instance(**_OBSTRUCTED)
+        tracemalloc.start()
+        try:
+            exp = poisson_rhs(inst, c_max=60, quad=QuadratureSpec(max_nodes=24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exp.n_terms == 0
+        assert peak < 2**21
+
+    def test_classifies_each_sub_cube(self, cong_instance, monkeypatch):
+        # each q with terms classifies the sub-cube of its support, and
+        # nothing else is classified
+        calls = []
+
+        def spy(instance, *c):
+            calls.append(c)
+            return _classify_array(instance, *c)
+
+        monkeypatch.setattr(pipeline, "_classify_array", spy)
+        exp = poisson_rhs(cong_instance, quad=QuadratureSpec(max_nodes=128))
+        cvals = np.arange(-exp.c_max, exp.c_max + 1)
+        live = [q for q, terms in enumerate(exp.terms_per_q, 1) if terms]
+        assert len(calls) == len(live) > 1
+        for q, c in zip(live, calls):
+            rows = sqc_window(cong_instance, q, cvals)[0]
+            assert np.broadcast_shapes(*(x.shape for x in c)) == tuple(map(len, rows))
+            assert all(np.array_equal(x.ravel(), cvals[r]) for x, r in zip(c, rows))
+        assert sum(math.prod(np.broadcast_shapes(*(x.shape for x in c))) for c in calls) == exp.n_terms
+        assert max(exp.terms_per_q) < cvals.size**3
+
     @pytest.mark.parametrize("q_max, c_max", [(0, 3), (-3, 3), (2, -1)])
     def test_plan_refuses_empty_window(self, hyp_instance, q_max, c_max):
         with pytest.raises(ValueError, match="q_max >= 1 and c_max >= 0"):
