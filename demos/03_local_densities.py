@@ -5,7 +5,8 @@ stabilized ratio (solutions of F = m0 mod p^k, under the congruence
 condition) / p^{2k}.  For primes away from 2*det(F)*m0*L the density
 stabilizes already at k = 1, where Gauss's closed count p^2 + p (-m0 det / p)
 gives it without enumerating residues (method gauss-character); the finitely
-many remaining primes need a certified Hensel ladder.  Conditional
+many remaining primes need a certified Hensel ladder, such as p = 3 for
+x^2 + y^2 + 27 z^2.  Conditional
 convergence of the product is handled with the convergence factors
 (1 - psi0(p)/p) attached to the real character psi0 of the form; when psi0
 is non-principal the compensating value L(1, psi0) is computed from the
@@ -31,6 +32,19 @@ print("== densities at individual primes (sphere, target 25) ==")
 for p in (2, 3, 7, 11):
     d = sigma_p(sphere, p)
     print(f"p={p:2d}:  sigma_p = {d.value}  (stabilized at k = {d.k_star}, method {d.method})")
+
+print()
+print("== a ramified ladder with its certificate ==")
+# x^2 + y^2 + 27 z^2 = 1 at p = 3: the density stabilizes at k = 5, and the
+# Hensel certificate scans all 3^15 residues mod 3^5 for a singular solution
+ramified = ProblemInstance(
+    QForm.diagonal(1, 1, 27), 1, 5, 1, CongruenceDatum(1, (0, 0, 0)),
+    WeightSpec(center=(c, c, c), radius=0.6),
+)
+d = sigma_p(ramified, 3)
+print(f"x^2+y^2+27z^2, p=3:  sigma_p = {d.value}  (k_star = {d.k_star}, "
+      f"{d.count} solutions mod 3^{d.k_star}, certified: {d.certified})")
+print(f"  ladder (k, count): {d.counts}")
 
 print()
 print("== stabilization is exact for clean primes ==")

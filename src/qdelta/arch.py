@@ -507,15 +507,13 @@ def osc_integral(
     r: float,
     b,
     quad: QuadratureSpec = QuadratureSpec(),
-    kernel: DeltaKernel | None = None,
 ) -> tuple[complex, float]:
-    """I_r(w; b) = int w(t) h(r, F(t)-m0) e_r(-b.t) dt with an error estimate
-    from a second grid: a refined one, or at the node cap a coarser one (the
-    value then comes from the capped grid)."""
+    """I_r(w; b) = int w(t) h(r, F(t)-m0) e_r(-b.t) dt, h at scale max(Q, 1 + 1e-9),
+    with an error estimate from a second grid: a refined one, or at the node
+    cap a coarser one (the value then comes from the capped grid)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    if kernel is None:
-        kernel = DeltaKernel(Q=max(float(instance.Q), 1.0 + 1e-9))
+    kernel = DeltaKernel(Q=max(float(instance.Q), 1.0 + 1e-9))
 
     def factors(axes, wts):
         return _axis_factors(axes, wts, [[bi] for bi in b], r)
@@ -594,11 +592,12 @@ def _mollified(instance: ProblemInstance, nodes: int, widths) -> list[float]:
     return [s / (e * math.sqrt(2.0 * math.pi)) for s, e in zip(sums, widths)]
 
 
-def coarea_integral(instance: ProblemInstance, nodes: int = 160) -> tuple[float, float]:
+def coarea_integral(instance: ProblemInstance) -> tuple[float, float]:
     """Surface route: sum over the sheets of {F = m0} along x_k, the last
     axis with a nonzero square coefficient (QForm.solve_order; the other two
-    coordinates span the 2-D grid), of w / |dF/dx_k|; requires a nonzero
-    square coefficient."""
+    coordinates span a 2-D Gauss-Legendre grid of 160 and then 224 nodes
+    per axis, the error their difference), of w / |dF/dx_k|; requires a
+    nonzero square coefficient."""
     order = instance.form.solve_order()
     if order is None:
         raise ValueError("coarea route requires a nonzero square coefficient")
@@ -625,7 +624,7 @@ def coarea_integral(instance: ProblemInstance, nodes: int = 160) -> tuple[float,
             total += float(np.einsum("ij,i,j->", vals, w1, w2))
         return total
 
-    v1, v2 = run(nodes), run(int(nodes * 1.4))
+    v1, v2 = run(160), run(224)
     return v2, abs(v2 - v1)
 
 
@@ -664,9 +663,10 @@ def singular_integral(
     )
 
 
-def form_range(instance: ProblemInstance, samples: int = 33) -> float:
-    """max |F(t) - m0| over the weight support box (sampled, 5% margin)."""
+def form_range(instance: ProblemInstance) -> float:
+    """max |F(t) - m0| over the weight support box (sampled on 33 points
+    per axis, 5% margin)."""
     lo, hi = instance.weight.support_box()
-    axes = np.ix_(*(np.linspace(float(lo[i]), float(hi[i]), samples) for i in range(3)))
+    axes = np.ix_(*(np.linspace(float(lo[i]), float(hi[i]), 33) for i in range(3)))
     y = np.abs(form_values(instance.form, *axes) - instance.m0)
     return 1.05 * float(y.max())

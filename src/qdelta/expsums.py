@@ -12,7 +12,9 @@ with g = F(scale*s + lam) - target, s mod qL, summed against e_{qL}(c.s):
 S_q(c), S1, S2, the cone sum calT1, and the character-organized calS, calA
 and calT2.  Those three sum over beta mod lL^2 with beta = lam mod L; with
 beta = L s + lam that is the amplitude at q = l times the phase
-e_{lL^2}(k.lam).  One kernel, `_amplitude_rows`, builds A row by row; it has
+e_{lL^2}(k.lam).  One kernel, `_amplitude_rows`, builds A row by row by
+gathering the Ramanujan table over the rows of g that `qform.residue_rows`
+yields (the residue-grid kernel the local densities count with too); it has
 two consumers: `_amplitude_sums` for a list of c, which builds each row once
 and contracts it against every c's phases (memory O((qL)^2 + len(cs) qL)),
 and `_amplitude_table` for every c mod qL at once (one FFT).  A sum is its
@@ -38,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modarith import divisors, factorize, jacobi, quadratic_roots, ramanujan_sum, smooth_part
-from .qform import ProblemInstance, evaluate
+from .qform import ProblemInstance, evaluate, residue_rows
 
 _BRUTE_MODULUS_BOUND = 10**4
 _CALS_BOUND = 10**4
@@ -89,28 +91,6 @@ def _ramanujan_residue_table(q: int, L2: int) -> np.ndarray:
     return np.tile(vals, 3)
 
 
-def _scaled_residue_sum(
-    form, scale: int, lam, shift: int, modulus: int, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residues of the (s2, s3)-only part of F(scale*s + lam) + shift mod modulus.
-
-    Returns (base, x2, x3): base[i, j] is reduced into [0, modulus) and the
-    coordinate arrays let the caller add the per-s1 terms (diagonal and cross)
-    as reduced row/column vectors, so lookups need a table tiled only x3.
-    """
-    a11, a22, a33, a12, a13, a23 = form.coefficients()
-    s = np.arange(size, dtype=np.int64)
-    x2 = scale * s + lam[1]
-    x3 = scale * s + lam[2]
-    base = (a22 * x2 * x2) % modulus
-    base = base[:, None] + ((a33 * x3 * x3 + shift) % modulus)[None, :]
-    if a23 != 0:
-        base = (base + a23 * np.outer(x2, x3)) % modulus
-    else:
-        base[base >= modulus] -= modulus
-    return base.astype(np.int64), x2, x3
-
-
 def crt_split(instance: ProblemInstance, q: int) -> tuple[int, int]:
     """q = q1 * q2 with q2 the Omega-part of q and gcd(q1, q2*Omega) = 1."""
     if q < 1:
@@ -131,23 +111,13 @@ def _check_split(instance: ProblemInstance, q1: int, q2: int) -> None:
 
 def _amplitude_rows(form, q: int, L: int, scale: int, lam, target: int):
     """Rows of A(s) = [L^2 | g] c_q(g / L^2), g = F(scale*s + lam) - target, for
-    s mod qL: an iterator over s1 = 0..qL-1 of A[s1, :, :].  The modulus bound
-    is checked on the call, not on the first row."""
+    s mod qL: an iterator over s1 = 0..qL-1 of A[s1, :, :], the Ramanujan
+    table gathered over qform.residue_rows at modulus qL^2.  The modulus
+    bound is checked on the call, not on the first row."""
     size = q * L
     _check_modulus(size)
-    modulus = q * L * L
-    base, x2, x3 = _scaled_residue_sum(form, scale, lam, -target, modulus, size)
     ramanujan = _ramanujan_residue_table(q, L * L)
-    a11, _, _, a12, a13, _ = form.coefficients()
-
-    def row(s1: int):
-        x1 = scale * s1 + lam[0]
-        r = (base + ((a11 * x1 * x1 + a12 * x1 * x2) % modulus)[:, None]) + (
-            (a13 * x1 * x3) % modulus
-        )[None, :]
-        return ramanujan[r]
-
-    return map(row, range(size))
+    return (ramanujan[r] for r in residue_rows(form, scale, lam, -target, q * L * L, size))
 
 
 def _amplitude_sums(form, q: int, L: int, scale: int, lam, target: int, cs) -> list[ComplexSum]:

@@ -5,13 +5,18 @@ the congruence condition, divided by p^(2k).  Stabilization is certified
 rather than assumed: at primes not dividing 2*det*m0*L every mod-p solution
 is nonsingular, so level 1 is already exact, and its count is Gauss's closed
 form p^2 + p (-m0 det / p) with no residues enumerated; at the remaining
-primes the ladder climbs, counting residues with count_solutions, until two
-consecutive levels agree, the level clears the ramification threshold, and
-every surviving solution is Hensel-liftable.
+primes one ladder (`_ladder`) climbs, counting residues with
+count_solutions, until two consecutive levels agree and the level clears
+the ramification threshold.  The density is certified when every solution
+mod p^k_star is Hensel-liftable: none has a gradient 2 M x whose three
+components p^(floor((k_star-1)/2) + 1) divides.  count_solutions (where
+sheet counting does not apply) and the certificate both scan the zeros of
+the residue-grid kernel `qform.residue_rows` row by row.
 
-The cone density at p0 uses the homogeneous structure: the count splits into
-primitive solutions (whose density stabilizes) plus p^3 times the count two
-levels down, which sums to a geometric factor p/(p-1).
+The cone density at p0 climbs the same ladder on the homogeneous
+structure: the count splits into primitive solutions (whose density
+stabilizes) plus p^3 times the count two levels down, which sums to a
+geometric factor p/(p-1).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .modarith import factorize, is_prime, is_square, jacobi, primes_up_to
-from .qform import ProblemInstance, QForm, psi0
+from .qform import ProblemInstance, QForm, psi0, residue_rows
 
 _BOX_BOUND = 10**4  # largest p^k enumerated directly
 _CELL_BUDGET = 3 * 10**8
@@ -78,26 +83,16 @@ def _sqrt_count_table(p: int, k: int) -> "np.ndarray":
     return table
 
 
-def _count_sheets(form: QForm, target: int, p: int, k: int) -> int:
-    """Count {F = target mod p^k} by completing the square in a coordinate
-    whose diagonal coefficient is a unit mod p (odd p only).
+def _count_sheets(form: QForm, target: int, p: int, k: int, axis: int) -> int:
+    """Count {F = target mod p^k} by completing the square in x_axis, whose
+    diagonal coefficient is a unit mod the odd prime p.
 
     For unit a and odd p, a x^2 + b x + c = 0 mod p^k has as many roots as
     u^2 = b^2 - 4ac does, via u = 2ax + b.
     """
-    if p == 2:
-        raise ValueError("sheet counting requires odd p")
-    coeffs = form.coefficients()
-    diag = coeffs[:3]
-    axis = next((i for i in range(3) if diag[i] % p != 0), None)
-    if axis is None:
-        raise ValueError("no unit diagonal coefficient; use direct counting")
     # permute so the unit-diagonal variable is x3
     perm = {0: (1, 2, 0), 1: (0, 2, 1), 2: (0, 1, 2)}[axis]
-    mat = form.gram()
-    m = [[mat[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
-    b11, b22, b33 = m[0][0], m[1][1], m[2][2]
-    b12, b13, b23 = 2 * m[0][1], 2 * m[0][2], 2 * m[1][2]
+    b11, b22, b33, b12, b13, b23 = form.permuted(perm).coefficients()
     pk = p**k
     table = _sqrt_count_table(p, k)
     x1 = np.arange(pk, dtype=np.int64)
@@ -121,32 +116,22 @@ def count_solutions(
     """#{x mod p^k : F(x) = target mod p^k, x = residue mod cong_modulus}.
 
     cong_modulus must be a power of p dividing p^k (1 for no condition).
-    Uses sheet counting when available and unconstrained, else a chunked
-    direct enumeration.
+    Sheet counting serves odd p with no congruence condition and a diagonal
+    coefficient that is a unit mod p; otherwise the zeros of
+    qform.residue_rows on the congruence class are counted row by row.
     """
     pk = p**k
     if cong_modulus > 1 and pk % cong_modulus != 0:
         raise ValueError("congruence modulus must divide p^k")
-    if cong_modulus == 1 and p != 2:
-        try:
-            return _count_sheets(form, target, p, k)
-        except ValueError:
-            pass
-    step = cong_modulus
-    per_axis = pk // step
+    axis = next((i for i, a in enumerate(form.coefficients()[:3]) if a % p), None)
+    if p != 2 and cong_modulus == 1 and axis is not None:
+        return _count_sheets(form, target, p, k, axis)
+    per_axis = pk // cong_modulus
     if per_axis**3 > _CELL_BUDGET:
         raise ValueError(f"enumeration of p^{3 * k} residues exceeds budget")
-    r1 = (cong_residue[0] % step) + step * np.arange(per_axis, dtype=np.int64)
-    r2 = (cong_residue[1] % step) + step * np.arange(per_axis, dtype=np.int64)
-    r3 = (cong_residue[2] % step) + step * np.arange(per_axis, dtype=np.int64)
-    a11, a22, a33, a12, a13, a23 = form.coefficients()
-    g2, g3 = np.ix_(r2, r3)
-    base = (a22 * g2 * g2 + a33 * g3 * g3 + a23 * g2 * g3 - target) % pk
-    total = 0
-    for x1 in r1:
-        val = (base + a11 * x1 * x1 + a12 * x1 * g2 + a13 * x1 * g3) % pk
-        total += int((val == 0).sum())
-    return total
+    lam = [v % cong_modulus for v in cong_residue]
+    rows = residue_rows(form, cong_modulus, lam, -target % pk, pk, per_axis)
+    return sum(int(np.count_nonzero(row % pk == 0)) for row in rows)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -163,27 +148,40 @@ def _is_clean(instance: ProblemInstance, p: int) -> bool:
 
 
 def _hensel_certified(instance: ProblemInstance, p: int, k: int) -> bool:
-    """Every solution mod p^k has a gradient of p-valuation mu with
-    k >= 2 mu + 1, so each lifts consistently to all higher levels."""
+    """Every solution x mod p^k, x = lambda mod p^(ord_p L), lifts
+    consistently to all higher levels: its gradient 2 M x has p-valuation mu
+    with k >= 2 mu + 1, so a solution fails when p^(floor((k-1)/2) + 1)
+    divides all three components.  The zeros of qform.residue_rows are
+    scanned row by row, the gradient taken at the zeros only."""
     pk = p**k
     step = p ** _valuation(instance.L, p)
-    lam = tuple(v % step for v in instance.cong.lam)
-    form = instance.form
-    target = instance.m0 % pk
-    for x1 in range(lam[0], pk, step):
-        for x2 in range(lam[1], pk, step):
-            for x3 in range(lam[2], pk, step):
-                if (form((x1, x2, x3)) - target) % pk != 0:
-                    continue
-                g = form.gradient((x1, x2, x3))
-                mu = 0
-                while all(gi % p**(mu + 1) == 0 for gi in g):
-                    mu += 1
-                    if 2 * mu + 1 > k:
-                        return False
-                if 2 * mu + 1 > k:
-                    return False
+    lam = [v % step for v in instance.cong.lam]
+    size = pk // step
+    d = p ** ((k - 1) // 2 + 1)
+    m = instance.form.gram()
+    x2, x3 = (step * np.arange(size, dtype=np.int64) + v for v in lam[1:])
+    rows = residue_rows(instance.form, step, lam, -instance.m0 % pk, pk, size)
+    for s1, row in enumerate(rows):
+        i, j = np.nonzero(row % pk == 0)
+        x = (step * s1 + lam[0], x2[i], x3[j])
+        grad = [2 * (a * x[0] + b * x[1] + c * x[2]) for a, b, c in m]
+        if np.any((grad[0] % d == 0) & (grad[1] % d == 0) & (grad[2] % d == 0)):
+            return False
     return True
+
+
+def _ladder(p: int, k: int, threshold: int, count) -> list[tuple[int, int]] | None:
+    """The ladder (k, n_k), n_k = count(k), climbed from level k while
+    p^k <= _BOX_BOUND, up to the first level with n_k / p^(2k) =
+    n_(k-1) / p^(2k-2) and k - 1 > threshold: the density of n_(k-1) has
+    stabilized.  None when the box bound comes first."""
+    counts: list[tuple[int, int]] = []
+    while p**k <= _BOX_BOUND:
+        counts.append((k, count(k)))
+        if len(counts) > 1 and counts[-1][1] == p * p * counts[-2][1] and k - 1 > threshold:
+            return counts
+        k += 1
+    return None
 
 
 def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
@@ -208,29 +206,21 @@ def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
             certified=True,
             method="gauss-character",
         )
-    threshold = 1 + _valuation(2 * instance.form.det() * instance.L, p)
-    counts: list[tuple[int, int]] = []
-    prev: Fraction | None = None
-    k = max(1, ell)
-    while p**k <= _BOX_BOUND:
-        n = count_solutions(instance.form, instance.m0, p, k, p**ell, instance.cong.lam)
-        counts.append((k, n))
-        val = Fraction(n, p ** (2 * k))
-        if prev is not None and val == prev and k - 1 > threshold:
-            k_star = k - 1
-            certified = counts[-2][1] == 0 or _hensel_certified(instance, p, k_star)
-            return LocalDensity(
-                p=p,
-                k_star=k_star,
-                value=prev,
-                count=counts[-2][1],
-                counts=tuple(counts),
-                certified=certified,
-                method="ladder",
-            )
-        prev = val
-        k += 1
-    raise ValueError(f"no stabilization for p={p} within the enumeration bound")
+    form, m0, lam = instance.form, instance.m0, instance.cong.lam
+    threshold = 1 + _valuation(2 * form.det() * instance.L, p)
+    counts = _ladder(p, max(1, ell), threshold, lambda k: count_solutions(form, m0, p, k, p**ell, lam))
+    if counts is None:
+        raise ValueError(f"no stabilization for p={p} within the enumeration bound")
+    k_star, n = counts[-2]
+    return LocalDensity(
+        p=p,
+        k_star=k_star,
+        value=Fraction(n, p ** (2 * k_star)),
+        count=n,
+        counts=tuple(counts),
+        certified=n == 0 or _hensel_certified(instance, p, k_star),
+        method="ladder",
+    )
 
 
 def sigma_p0_cone(instance: ProblemInstance) -> LocalDensity:
@@ -240,36 +230,29 @@ def sigma_p0_cone(instance: ProblemInstance) -> LocalDensity:
     stabilizes at rho, the full density is rho * p/(p-1).  rho = 0 detects
     anisotropy over the p0-adics.
     """
-    p = instance.p0
-    form = instance.form
-    threshold = 1 + _valuation(2 * form.det(), p)
-    counts: list[tuple[int, int]] = []
+    p, form = instance.p0, instance.form
     totals: list[int] = []  # totals[k - 1]: all solutions mod p^k
-    prev: Fraction | None = None
-    k = 1
-    while p**k <= _BOX_BOUND:
+
+    def primitive(k: int) -> int:
         totals.append(count_solutions(form, 0, p, k))
         # subtract non-primitive solutions x = p x': every x mod p^(k-1)
         # when k <= 2, else p^3 per solution mod p^(k-2), counted two
         # levels ago
-        nonprim = p ** (3 * (k - 1)) if k <= 2 else p**3 * totals[k - 3]
-        prim = totals[-1] - nonprim
-        counts.append((k, prim))
-        rho = Fraction(prim, p ** (2 * k))
-        if prev is not None and rho == prev and k - 1 > threshold:
-            value = prev * Fraction(p, p - 1)
-            return LocalDensity(
-                p=p,
-                k_star=k - 1,
-                value=value,
-                count=counts[-2][1],
-                counts=tuple(counts),
-                certified=True,
-                method="cone-recurrence",
-            )
-        prev = rho
-        k += 1
-    raise ValueError(f"no cone stabilization for p0={p} within the enumeration bound")
+        return totals[-1] - (p ** (3 * (k - 1)) if k <= 2 else p**3 * totals[k - 3])
+
+    counts = _ladder(p, 1, 1 + _valuation(2 * form.det(), p), primitive)
+    if counts is None:
+        raise ValueError(f"no cone stabilization for p0={p} within the enumeration bound")
+    k_star, prim = counts[-2]
+    return LocalDensity(
+        p=p,
+        k_star=k_star,
+        value=Fraction(prim, p ** (2 * k_star)) * Fraction(p, p - 1),
+        count=prim,
+        counts=tuple(counts),
+        certified=True,
+        method="cone-recurrence",
+    )
 
 
 # ---------------------------------------------------------------------------

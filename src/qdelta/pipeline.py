@@ -547,18 +547,16 @@ def predict_main(
     )
 
 
-def extract_secondary(report: PredictionReport, which: str | None = None) -> dict:
-    """Residual sequence (gamma - main)/sqrt(N) with boundedness diagnostics.
+def extract_secondary(report: PredictionReport) -> dict:
+    """Residual sequence (gamma - main)/sqrt(N) with boundedness diagnostics,
+    for the candidate with the smallest max residual.
 
     Needs at least 3 h values; reports the max residual and consecutive
     drifts but makes no convergence claim.
     """
     if len(report.h_values) < 3:
         raise ValueError("need at least 3 h values to discuss a trend")
-    if which is None:
-        which = min(
-            report.residuals, key=lambda k: max(abs(r) for r in report.residuals[k])
-        )
+    which = min(report.residuals, key=lambda k: max(abs(r) for r in report.residuals[k]))
     res = report.residuals[which]
     drifts = tuple(abs(res[i + 1] - res[i]) for i in range(len(res) - 1))
     return {

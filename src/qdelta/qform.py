@@ -4,6 +4,11 @@ F(x) = a11 x1^2 + a22 x2^2 + a33 x3^2 + a12 x1 x2 + a13 x1 x3 + a23 x2 x3,
 restricted to classically integral forms (even cross coefficients) so the Gram
 determinant is an integer.  The dual form is the adjugate quadratic form; it
 drives the classification of Poisson variables into exceptional and ordinary.
+
+`residue_rows` is the one residue-grid kernel: F(scale*s + lam) + shift over
+s mod size, row by row, each row an int64 array in [0, 3 modulus) congruent
+to the value mod modulus.  The exponential sums gather their Ramanujan
+table over it, and the local densities count and certify its zeros.
 """
 
 from __future__ import annotations
@@ -158,6 +163,30 @@ def form_values(form: QForm, x1, x2, x3):
     return out
 
 
+def residue_rows(form: QForm, scale: int, lam, shift: int, modulus: int, size: int):
+    """Rows of F(scale*s + lam) + shift over the residue grid s in [0, size)^3:
+    an iterator over s1 = 0..size-1 of an int64 (size, size) array in
+    [0, 3 modulus), congruent to the value mod modulus.  The (s2, s3) part
+    is reduced into [0, modulus) once; each row adds its s1 terms (diagonal
+    and cross) as reduced row and column vectors.  Fixed-width arithmetic:
+    no overflow check."""
+    a11, a22, a33, a12, a13, a23 = form.coefficients()
+    s = np.arange(size, dtype=np.int64)
+    x2 = scale * s + lam[1]
+    x3 = scale * s + lam[2]
+    base = (a22 * x2 * x2) % modulus
+    base = base[:, None] + ((a33 * x3 * x3 + shift) % modulus)[None, :]
+    if a23 != 0:
+        base = (base + a23 * np.outer(x2, x3)) % modulus
+    else:
+        base[base >= modulus] -= modulus
+    for s1 in range(size):
+        x1 = scale * s1 + lam[0]
+        yield (base + ((a11 * x1 * x1 + a12 * x1 * x2) % modulus)[:, None]) + (
+            (a13 * x1 * x3) % modulus
+        )[None, :]
+
+
 def dual_form(form: QForm) -> QForm:
     """Dual form F*(c) = c^T adj(M) c; satisfies F*(M x) = det(M) * F(x)."""
     adj = form.adjugate()
@@ -271,9 +300,6 @@ class ProblemInstance:
 
     def with_h(self, h: int) -> "ProblemInstance":
         return ProblemInstance(self.form, self.m0, self.p0, h, self.cong, self.weight)
-
-    def psi0(self) -> RealCharacter:
-        return psi0(self.form, self.m0)
 
 
 def classifier_range_check(instance: ProblemInstance, c_max: int) -> None:

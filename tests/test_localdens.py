@@ -51,6 +51,33 @@ def _cone_recount(instance) -> LocalDensity:
     raise ValueError("no cone stabilization")
 
 
+def hensel_certified_literal(instance, p: int, k: int) -> bool:
+    """The certificate as a scalar loop over every residue x = lambda mod
+    p^(ord_p L): each solution mod p^k needs a gradient of p-valuation mu
+    with k >= 2 mu + 1.  The oracle for localdens._hensel_certified."""
+    pk = p**k
+    step = 1
+    while instance.L % (step * p) == 0:
+        step *= p
+    lam = tuple(v % step for v in instance.cong.lam)
+    form = instance.form
+    target = instance.m0 % pk
+    for x1 in range(lam[0], pk, step):
+        for x2 in range(lam[1], pk, step):
+            for x3 in range(lam[2], pk, step):
+                if (form((x1, x2, x3)) - target) % pk != 0:
+                    continue
+                g = form.gradient((x1, x2, x3))
+                mu = 0
+                while all(gi % p**(mu + 1) == 0 for gi in g):
+                    mu += 1
+                    if 2 * mu + 1 > k:
+                        return False
+                if 2 * mu + 1 > k:
+                    return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def hyp3():
     """Hyperboloid with p0 = 3 (square-discriminant branch)."""
@@ -67,6 +94,19 @@ class TestCountSolutions:
     def test_sphere_mod_3(self):
         # x^2+y^2+z^2 = 1 mod 3: only permutations of (±1, 0, 0) -> 6
         assert count_solutions(QForm.diagonal(1, 1, 1), 1, 3, 1) == 6
+
+    def test_no_unit_diagonal_counts_directly(self):
+        # every diagonal coefficient is 0 mod 3, so no sheet route: the
+        # residue-row count against a triple loop, with and without a
+        # congruence condition
+        form = QForm(3, 6, 3, a12=2, a23=-2)
+        for target in (1, 3, 9):
+            brute = sum(1 for x in itertools.product(range(9), repeat=3)
+                        if (form(x) - target) % 9 == 0)
+            assert count_solutions(form, target, 3, 2) == brute
+            restricted = sum(1 for x in itertools.product(range(1, 9, 3), range(0, 9, 3), range(2, 9, 3))
+                             if (form(x) - target) % 9 == 0)
+            assert count_solutions(form, target, 3, 2, 3, (4, 0, -1)) == restricted
 
     def test_brute_matches_sheets(self):
         form = QForm(1, 2, 3, a12=2)
@@ -144,9 +184,53 @@ class TestSigmaP:
         assert got == want
         assert calls == [(form, 0, p, k) for k in range(1, len(got.counts) + 1)]
 
+    @pytest.mark.parametrize(
+        "coeffs,want",
+        [
+            ((1, 1, 27), LocalDensity(3, 5, Fraction(4, 3), 78732, ((1, 12), (2, 108), (3, 972),
+                                      (4, 8748), (5, 78732), (6, 708588)), True, "ladder")),
+            ((1, 3, 3), LocalDensity(3, 4, Fraction(2), 13122, ((1, 18), (2, 162), (3, 1458),
+                                     (4, 13122), (5, 118098)), True, "ladder")),
+        ],
+        ids=["x2+y2+27z2", "x2+3y2+3z2"],
+    )
+    def test_ramified_3adic_density(self, coeffs, want):
+        # every field pinned; the x^2 + y^2 + 27 z^2 certificate scans 3^15
+        # residues at k_star = 5
+        assert sigma_p(make_instance(coeffs=coeffs), 3) == want
+
     def test_densities_positive_for_solvable(self, hyp3):
         for p in (5, 7, 11, 13):
             assert sigma_p(hyp3, p).value > 0
+
+
+# (instance, p, the levels k at which the certificate fails)
+CERTIFICATE_CASES = [
+    (dict(coeffs=(1, 3, 3)), 3, ()),
+    (dict(coeffs=(1, 1, 27)), 3, ()),
+    (dict(coeffs=(1, 9, 9)), 3, ()),
+    (dict(coeffs=(1, 1, 1), m0=3, center=SPHERE_CENTER), 3, (1,)),
+    (dict(coeffs=(1, 1, 1), m0=9, center=SPHERE_CENTER), 3, (1, 2)),
+    (dict(coeffs=(1, 1, 1), center=SPHERE_CENTER), 2, (1, 2)),
+    (dict(L=2, lam=(1, 0, 0)), 2, (1, 2)),
+    (dict(coeffs=(2, 3, 1, 2, 0, 2), m0=3, L=2, lam=(0, 1, 0), center=(0.5, 0.4, 0.3)), 2, (1, 2)),
+]
+
+
+class TestHenselCertificate:
+    @pytest.mark.parametrize(
+        "kwargs,p,fails",
+        CERTIFICATE_CASES,
+        ids=["x2+3y2+3z2", "x2+y2+27z2", "x2+9y2+9z2", "sphere-m03", "sphere-m09",
+             "sphere-p2", "hyperboloid-L2", "cross-L2"],
+    )
+    def test_matches_literal_loop(self, kwargs, p, fails):
+        # the row scan against the scalar loop at every k with p^(3k) <= 2e6
+        inst = make_instance(**kwargs)
+        levels = [k for k in range(1, 8) if p ** (3 * k) <= 2 * 10**6]
+        got = {k: localdens._hensel_certified(inst, p, k) for k in levels}
+        assert got == {k: hensel_certified_literal(inst, p, k) for k in levels}
+        assert tuple(k for k in levels if not got[k]) == fails
 
 
 # (coefficients a11, a22, a33, a12, a13, a23; m0) for the closed-form oracles

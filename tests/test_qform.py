@@ -16,6 +16,7 @@ from qdelta.qform import (
     evaluate,
     form_values,
     psi0,
+    residue_rows,
 )
 
 from conftest import make_instance
@@ -255,3 +256,24 @@ class TestFormValues:
         want -= m0
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestResidueRows:
+    @pytest.mark.parametrize("coeffs", _FORMS, ids=["0", "1", "2", "3"])
+    @pytest.mark.parametrize(
+        "scale, lam, shift, modulus, size",
+        [(1, (0, 0, 0), 0, 7, 7), (4, (1, 0, 3), -625, 36, 6), (3, (2, 1, 0), 10**6, 5, 9)],
+        ids=["plain", "shifted", "wide"],
+    )
+    def test_rows_congruent_in_range(self, coeffs, scale, lam, shift, modulus, size):
+        # every row is int64, (size, size), in [0, 3 modulus) and congruent
+        # to F(scale s + lam) + shift, evaluated exactly
+        form = QForm(*coeffs)
+        rows = list(residue_rows(form, scale, lam, shift, modulus, size))
+        assert len(rows) == size
+        for s1, row in enumerate(rows):
+            assert row.dtype == np.int64 and row.shape == (size, size)
+            assert row.min() >= 0 and row.max() < 3 * modulus
+            for s2, s3 in np.ndindex(row.shape):
+                x = (scale * s1 + lam[0], scale * s2 + lam[1], scale * s3 + lam[2])
+                assert (int(row[s2, s3]) - evaluate(form, x) - shift) % modulus == 0, x
