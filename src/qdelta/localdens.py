@@ -173,8 +173,8 @@ def _hensel_certified(instance: ProblemInstance, p: int, k: int) -> bool:
 def _ladder(p: int, k: int, threshold: int, count) -> list[tuple[int, int]] | None:
     """The ladder (k, n_k), n_k = count(k), climbed from level k while
     p^k <= _BOX_BOUND, up to the first level with n_k / p^(2k) =
-    n_(k-1) / p^(2k-2) and k - 1 > threshold: the density of n_(k-1) has
-    stabilized.  None when the box bound comes first."""
+    n_(k-1) / p^(2k-2) (n_k = p^2 n_(k-1)) and k - 1 > threshold: the
+    density of n_(k-1) has stabilized.  None when the box bound comes first."""
     counts: list[tuple[int, int]] = []
     while p**k <= _BOX_BOUND:
         counts.append((k, count(k)))
