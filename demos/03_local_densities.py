@@ -8,9 +8,11 @@ gives it without enumerating residues (method gauss-character); the finitely
 many remaining primes need a certified Hensel ladder, such as p = 3 for
 x^2 + y^2 + 27 z^2.  Conditional
 convergence of the product is handled with the convergence factors
-(1 - psi0(p)/p) attached to the real character psi0 of the form; when psi0
-is non-principal the compensating value L(1, psi0) is computed from the
-character directly and is checked here against two classical closed forms.
+(1 - chi(p)/p), chi the Kronecker character of the fundamental discriminant
+of -m0 det(F); when chi is non-principal the compensating value L(1, chi) is
+computed from the same character and is checked here against two classical
+closed forms.  Siegel's formula ties the pieces together: on the sphere,
+a one-class genus, r(n) = 2 pi sqrt(n) L(1, chi) prod_p (1 - chi(p)/p) sigma_p.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import math
 from fractions import Fraction
 
 from qdelta.arch import WeightSpec
-from qdelta.localdens import L_one_psi0, count_solutions, sigma_p, singular_series
+from qdelta.localdens import (
+    L_one_psi0,
+    count_solutions,
+    kronecker_value,
+    sigma_p,
+    singular_series,
+)
+from qdelta.modarith import primes_up_to
 from qdelta.qform import CongruenceDatum, ProblemInstance, QForm
 
 c = 1 / 3**0.5
@@ -69,8 +78,18 @@ print(f"sphere with x = (1,1,1) mod 2: value {so.value}, "
       f"never 25 mod 8)")
 
 print()
-print("== L(1, psi0) against classical values ==")
+print("== L(1, chi) against classical values ==")
 v4 = L_one_psi0(QForm.diagonal(1, 1, 1), 1)
 v3 = L_one_psi0(QForm.diagonal(1, 1, 3), 1)
 print(f"discriminant -4:  {v4:.12f}  vs pi/4        = {math.pi / 4:.12f}")
 print(f"discriminant -3:  {v3:.12f}  vs pi/(3 rt 3) = {math.pi / (3 * math.sqrt(3)):.12f}")
+
+print()
+print("== Siegel's formula on the sphere ==")
+# x^2 + y^2 + z^2 = 3: r = 8 (the points (+-1, +-1, +-1)); chi = (-3 / .),
+# the product over p <= 2000 short of the whole by prod_(p > 2000) (1 - 1/p^2)
+three = ProblemInstance(QForm.diagonal(1, 1, 1), 3, 10007, 0, CongruenceDatum(1, (0, 0, 0)))
+product = 2 * math.pi * math.sqrt(3) * L_one_psi0(three.form, 3)
+for p in primes_up_to(2000):
+    product *= (1 - kronecker_value(-3, p) / p) * float(sigma_p(three, p).value)
+print(f"n = 3:  r = 8,  2 pi sqrt(3) L(1, chi) prod_(p <= 2000) = {product:.6f}")

@@ -5,7 +5,7 @@ Library layout:
 * modarith  - exact modular arithmetic, characters, quadratic roots
 * qform     - ternary quadratic forms, duals, problem instances
 * expsums   - complete exponential sums and their factorizations
-* localdens - p-adic densities, singular series, L(1, psi0)
+* localdens - p-adic densities, singular series, L(1, chi)
 * arch      - weights, delta kernel, oscillatory and singular integrals
 * pipeline  - enumeration vs truncated expansion, main-term predictions
 * cli       - command line front end

@@ -264,14 +264,16 @@ def cmd_density(args, cfg) -> int:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["p", "k_star", "count", "density_num", "density_den", "euler_factor", "method"]
+            ["p", "k_star", "count", "density_num", "density_den", "euler_factor", "method",
+             "certified"]
         )
         for dens, (p, euler) in zip(series.densities, series.factors):
             if p > p_max:
                 continue  # the cone factor at p0 enters the series even beyond p_max
             writer.writerow(
                 [p, dens.k_star, dens.count,
-                 dens.value.numerator, dens.value.denominator, repr(euler), dens.method]
+                 dens.value.numerator, dens.value.denominator, repr(euler), dens.method,
+                 dens.certified]
             )
     print(f"config {config_sha256(cfg)}")
     print(f"singular series (p <= {p_max}): {series.value!r} drift {series.drift!r}")
@@ -401,7 +403,7 @@ def cmd_compare(args, cfg) -> int:
         )
     for row in skipped:
         print(f"h={row['h']}: identity check skipped ({row['reason']}, N = {row['N']})")
-    print(f"best main-term candidate: {secondary['candidate']}")
+    print(f"main term: {secondary['main_term']}")
     print(f"wrote {path}")
     return 0 if ok else 1
 

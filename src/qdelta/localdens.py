@@ -1,4 +1,4 @@
-"""p-adic local densities, the modified singular series, and L(1, psi0).
+"""p-adic local densities, the modified singular series, and L(1, chi).
 
 Densities are exact rationals: counts of solutions of F = m0 mod p^k under
 the congruence condition, divided by p^(2k).  Stabilization is certified
@@ -7,7 +7,8 @@ is nonsingular, so level 1 is already exact, and its count is Gauss's closed
 form p^2 + p (-m0 det / p) with no residues enumerated; at the remaining
 primes one ladder (`_ladder`) climbs, counting residues with
 count_solutions, until two consecutive levels agree and the level clears
-the ramification threshold.  The density is certified when every solution
+the ramification threshold (raised by v_p(m0) - 1 where p^2 divides m0).
+The density is certified when every solution
 mod p^k_star is Hensel-liftable: none has a gradient 2 M x whose three
 components p^(floor((k_star-1)/2) + 1) divides.  count_solutions (where
 sheet counting does not apply) and the certificate both scan the zeros of
@@ -17,6 +18,13 @@ The cone density at p0 climbs the same ladder on the homogeneous
 structure: the count splits into primitive solutions (whose density
 stabilizes) plus p^3 times the count two levels down, which sums to a
 geometric factor p/(p-1).
+
+One character serves the series and its L-value: chi = (d0 / .), the
+Kronecker symbol of the fundamental discriminant d0 of -m0*det(F).  The
+Euler factors are (1 - chi(p)/p) sigma_p (1 - 1/p when -m0*det is a
+square), and L(1, chi) sums the same chi, so L(1, chi) times the product
+over p <= P is Siegel's product of local densities up to the tail over
+p > P; on a one-class genus that product is r(m0) / sigma_infinity.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .modarith import factorize, is_prime, is_square, jacobi, primes_up_to
-from .qform import ProblemInstance, QForm, psi0, residue_rows
+from .qform import ProblemInstance, QForm, residue_rows
 
 _BOX_BOUND = 10**4  # largest p^k enumerated directly
 _CELL_BUDGET = 3 * 10**8
@@ -41,7 +49,10 @@ _DIGAMMA_COEFFS = (
 
 @dataclass(frozen=True)
 class LocalDensity:
-    """Stabilized density with its certificate data."""
+    """Stabilized density with its certificate data.  certified = False
+    flags a ladder density whose solutions the Hensel certificate could not
+    all lift; the value is still reported (the certificate is conservative,
+    notably at p = 2)."""
 
     p: int
     k_star: int
@@ -185,7 +196,12 @@ def _ladder(p: int, k: int, threshold: int, count) -> list[tuple[int, int]] | No
 
 
 def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
-    """Local density of F = m0 under x = lambda mod p^(ord_p L), at p != p0."""
+    """Local density of F = m0 under x = lambda mod p^(ord_p L), at p != p0.
+
+    The ladder's threshold is 1 + v_p(2 det L), raised by v_p(m0) - 1 where
+    p^2 divides m0: at odd p not dividing 2 det L the density is stable from
+    level v_p(m0) + 1, which that raise reaches, and a ladder that would
+    stop below it can read a level that has not stabilized."""
     if p == instance.p0:
         raise ValueError("use sigma_p0_cone at the distinguished prime")
     if not is_prime(p):
@@ -207,7 +223,7 @@ def sigma_p(instance: ProblemInstance, p: int) -> LocalDensity:
             method="gauss-character",
         )
     form, m0, lam = instance.form, instance.m0, instance.cong.lam
-    threshold = 1 + _valuation(2 * form.det() * instance.L, p)
+    threshold = 1 + _valuation(2 * form.det() * instance.L, p) + max(0, _valuation(m0, p) - 1)
     counts = _ladder(p, max(1, ell), threshold, lambda k: count_solutions(form, m0, p, k, p**ell, lam))
     if counts is None:
         raise ValueError(f"no stabilization for p={p} within the enumeration bound")
@@ -261,17 +277,19 @@ def sigma_p0_cone(instance: ProblemInstance) -> LocalDensity:
 
 
 def singular_series(instance: ProblemInstance, p_max: int = 300) -> SingularSeries:
-    """Euler product (1 - psi0(p)/p) sigma_p over p <= p_max (psi0 replaced
-    by 1 when -m0*det is a square), with the cone density at p0."""
+    """Euler product (1 - chi(p)/p) sigma_p over p <= p_max, chi the
+    Kronecker character of L_one_psi0 (1 - 1/p when -m0*det is a square),
+    with the cone density at p0."""
     if p_max > 10**4:
         raise ValueError("prime bound capped at 10^4")
-    char = psi0(instance.form, instance.m0)
-    square = char.square
+    disc = -instance.m0 * instance.form.det()
+    square = is_square(disc)
+    d0 = None if square else _fundamental_discriminant(disc)
 
     def convergence(p: int) -> float:
         if square:
             return 1.0 - 1.0 / p
-        return 1.0 - char(p) / p
+        return 1.0 - kronecker_value(d0, p) / p
 
     cone = sigma_p0_cone(instance)
     rest = [sigma_p(instance, p) for p in primes_up_to(p_max) if p != instance.p0]
@@ -351,7 +369,8 @@ def _digamma(x: np.ndarray) -> np.ndarray:
 
 
 def L_one_psi0(form: QForm, m0: int) -> float:
-    """L(1, psi0) for the primitive quadratic character attached to -m0*det(F).
+    """L(1, chi) for chi = (d0 / .), the primitive quadratic character
+    attached to -m0*det(F): the character of singular_series' Euler factors.
 
     Direct partial sum to the period multiple M = 8 f plus the exact digamma
     tail (the Abel-summed remainder of a bounded-partial-sum character

@@ -446,11 +446,11 @@ class PredictionReport:
     singular_integral_error: float
     singular_evidence: SingularIntegral  # coarea cross-check and mollifier ladder
     series: SingularSeries
-    l_value: float | None  # L(1, psi0), None in the square case
+    l_value: float | None  # L(1, chi), None in the square case
     h_values: tuple[int, ...]
     gammas: tuple[float, ...]
-    predictions: dict  # name -> tuple of per-h main terms
-    residuals: dict  # name -> tuple of (gamma - main)/sqrt(N)
+    predictions: dict  # the one main term's name -> its per-h values
+    residuals: dict  # the same name -> per-h (gamma - main)/sqrt(N)
 
     def to_dict(self) -> dict:
         return {
@@ -468,6 +468,7 @@ class PredictionReport:
             "singular_series": self.series.value,
             "series_drift": self.series.drift,
             "obstructed_at": self.series.obstructed_at,
+            "uncertified_primes": [d.p for d in self.series.densities if not d.certified],
             "l_value": self.l_value,
             "h": list(self.h_values),
             "gamma": list(self.gammas),
@@ -498,11 +499,11 @@ def predict_main(
     quad: QuadratureSpec = QuadratureSpec(),
     enumerations: dict[int, float] | None = None,
 ) -> PredictionReport:
-    """Predicted leading terms per h next to the enumerated counts.
-
-    Square case: I(w) * S * sqrt(N) log sqrt(N).  Non-square case emits two
-    candidates, with and without the L(1, psi0) factor carried by the c = 0
-    analysis; the residuals decide empirically which one the count tracks.
+    """The predicted main term per h next to the enumerated counts: the
+    singular integral I(w) times the singular series S, times
+    sqrt(N) log sqrt(N) in the square case (main_sqrtN_logsqrtN) and
+    L(1, chi) sqrt(N) otherwise (main_sqrtN_lvalue), chi the character of
+    S's convergence factors.
     """
     si = singular_integral(instance, quad)
     series = singular_series(instance, p_max)
@@ -515,23 +516,14 @@ def predict_main(
             gammas.append(enumerations[h])
         else:
             gammas.append(enumerate_gamma(inst_h).weighted)
-    predictions: dict[str, tuple[float, ...]] = {}
     base = si.value * series.value
+    sqrt_n = [instance.p0**h for h in h_values]
     if square:
-        predictions["main_sqrtN_logsqrtN"] = tuple(
-            base * instance.p0**h * math.log(instance.p0**h) for h in h_values
-        )
+        name, main = "main_sqrtN_logsqrtN", [base * s * math.log(s) for s in sqrt_n]
     else:
-        predictions["main_sqrtN"] = tuple(base * instance.p0**h for h in h_values)
-        predictions["main_sqrtN_lvalue"] = tuple(
-            base * lval * instance.p0**h for h in h_values
-        )
-    residuals = {
-        name: tuple(
-            (g - m) / instance.p0**h for g, m, h in zip(gammas, vals, h_values)
-        )
-        for name, vals in predictions.items()
-    }
+        name, main = "main_sqrtN_lvalue", [base * lval * s for s in sqrt_n]
+    predictions = {name: tuple(main)}
+    residuals = {name: tuple((g - m) / s for g, m, s in zip(gammas, main, sqrt_n))}
     return PredictionReport(
         instance_echo=instance_echo(instance),
         square_disc=square,
@@ -548,21 +540,19 @@ def predict_main(
 
 
 def extract_secondary(report: PredictionReport) -> dict:
-    """Residual sequence (gamma - main)/sqrt(N) with boundedness diagnostics,
-    for the candidate with the smallest max residual.
+    """Residual sequence (gamma - main)/sqrt(N) of the report's one main
+    term, with boundedness diagnostics.
 
     Needs at least 3 h values; reports the max residual and consecutive
     drifts but makes no convergence claim.
     """
     if len(report.h_values) < 3:
         raise ValueError("need at least 3 h values to discuss a trend")
-    which = min(report.residuals, key=lambda k: max(abs(r) for r in report.residuals[k]))
-    res = report.residuals[which]
+    ((name, res),) = report.residuals.items()
     drifts = tuple(abs(res[i + 1] - res[i]) for i in range(len(res) - 1))
     return {
-        "candidate": which,
+        "main_term": name,
         "residuals": list(res),
         "max_abs_residual": max(abs(r) for r in res),
         "consecutive_drifts": list(drifts),
     }
-

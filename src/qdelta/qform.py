@@ -13,14 +13,13 @@ table over it, and the local densities count and certify its zeros.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .modarith import is_prime, is_square, jacobi
+from .modarith import is_prime
 
 _INT128_MAX = 1 << 127
 
@@ -68,7 +67,7 @@ class QForm:
         ]
 
     def det(self) -> int:
-        """Gram determinant (the discriminant entering psi0 and Omega)."""
+        """Gram determinant (the discriminant entering the character and Omega)."""
         m = self.gram()
         return (
             m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -198,31 +197,6 @@ def dual_form(form: QForm) -> QForm:
         a13=2 * adj[0][2],
         a23=2 * adj[1][2],
     )
-
-
-@dataclass(frozen=True)
-class RealCharacter:
-    """The real character n -> (disc / n): Jacobi symbol on odd n coprime to
-    2*disc, zero otherwise.  `square` flags the principal case disc = square."""
-
-    disc: int
-    square: bool
-
-    def __call__(self, n: int) -> int:
-        n = int(n)
-        if n <= 0:
-            raise ValueError("character argument must be positive")
-        if n % 2 == 0 or math.gcd(n, 2 * abs(self.disc)) > 1:
-            return 0
-        return jacobi(self.disc, n)
-
-
-def psi0(form: QForm, m0: int) -> RealCharacter:
-    """The real character attached to -m0 * det(F), with its square flag."""
-    disc = -m0 * form.det()
-    if disc == 0:
-        raise ValueError("m0 * det(F) must be nonzero")
-    return RealCharacter(disc=disc, square=is_square(disc))
 
 
 @dataclass(frozen=True)

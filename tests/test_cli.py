@@ -30,6 +30,18 @@ weight_center = 1.25, 0.5, 0.9013878188659973
 weight_radius = 0.6
 """
 
+# x^2 + y^2 + z^2 = 4 N: the density at 2 is uncertified (the certificate is
+# conservative there), its value 3/4 right all the same
+SPHERE4_CFG = """\
+a11 = 1
+a22 = 1
+a33 = 1
+m0 = 4
+p0 = 5
+weight_center = 1.1547005383792517, 1.1547005383792517, 1.1547005383792517
+weight_radius = 0.6
+"""
+
 
 @pytest.fixture
 def cfg_file(tmp_path: Path) -> Path:
@@ -165,11 +177,33 @@ class TestSubcommands:
         with (tmp_path / "density.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["p", "k_star", "count", "density_num", "density_den",
-                                 "euler_factor", "method"]
+                                 "euler_factor", "method", "certified"]
         assert [int(r["p"]) for r in rows] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
                                                41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
         for r in rows:
             assert int(r["density_den"]) > 0
+            assert r["certified"] == "True"
+
+    def test_density_flags_uncertified(self, tmp_path):
+        p = tmp_path / "d.cfg"
+        p.write_text(SPHERE4_CFG + "p_max_density = 13\n")
+        assert main(["density", "--config", str(p), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "density.csv").open() as fh:
+            rows = {int(r["p"]): r for r in csv.DictReader(fh)}
+        assert (rows[2]["density_num"], rows[2]["density_den"]) == ("3", "4")
+        assert {q: r["certified"] for q, r in rows.items()} == {
+            q: str(q != 2) for q in primes_up_to(13)}
+
+    def test_compare_one_main_term_and_uncertified_primes(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(SPHERE4_CFG + "P_max = 30\nquad_max_nodes = 24\nq_max = 1\nc_max = 1\n")
+        code = main(["compare", "--config", str(p), "--out", str(tmp_path), "--deterministic"])
+        assert code in (0, 1)
+        doc = json.loads((tmp_path / "compare.json").read_text())
+        assert doc["report"]["uncertified_primes"] == [2]
+        assert list(doc["report"]["predictions"]) == ["main_sqrtN_lvalue"]
+        assert doc["secondary"]["main_term"] == "main_sqrtN_lvalue"
+        assert "main term: main_sqrtN_lvalue" in capsys.readouterr().out
 
     def test_density_method_column(self, cfg_file, tmp_path):
         # hyperboloid, det = -1, m0 = 1, L = 1: p = 2 climbs the ladder, p0 = 5
@@ -356,6 +390,14 @@ class TestSubcommands:
         rc = main(["count", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 3
         assert "resource bound" in capsys.readouterr().err
+
+    def test_exit_code_3_on_unstabilized_density(self, tmp_path, capsys):
+        # m0 = 7^4: the density at 7 is stable only from level 5, past the
+        # enumeration bound, so it is refused rather than read too early
+        p = tmp_path / "d.cfg"
+        p.write_text(SPHERE4_CFG.replace("m0 = 4", "m0 = 2401"))
+        assert main(["density", "--config", str(p), "--out", str(tmp_path)]) == 3
+        assert "p=7 " in capsys.readouterr().err
 
     def test_exit_code_3_on_expansion_memory(self, cfg_file, tmp_path, capsys, monkeypatch):
         # at c_max = 400 the q = 1 grid asks for 4846 nodes per axis (about

@@ -15,14 +15,16 @@ from qdelta import localdens
 from qdelta.localdens import (
     L_one_psi0,
     LocalDensity,
+    _fundamental_discriminant,
     _is_clean,
     count_solutions,
+    kronecker_value,
     sigma_p,
     sigma_p0_cone,
     singular_series,
 )
-from qdelta.modarith import primes_up_to
-from qdelta.qform import QForm
+from qdelta.modarith import jacobi, primes_up_to
+from qdelta.qform import CongruenceDatum, ProblemInstance, QForm
 
 from conftest import HYP_CENTER, make_instance
 
@@ -199,6 +201,25 @@ class TestSigmaP:
         # residues at k_star = 5
         assert sigma_p(make_instance(coeffs=coeffs), 3) == want
 
+    @pytest.mark.parametrize("m0,p,want", [
+        (16, 2, Fraction(3, 8)),
+        (64, 2, Fraction(3, 16)),
+        (81, 3, Fraction(34, 27)),
+        (147, 7, Fraction(8, 7)),
+    ])
+    def test_threshold_counts_m0_valuation(self, m0, p, want):
+        # the sphere's ladder climbs v_p(m0) - 1 levels past the ramification
+        # threshold: without them m0 = 16, 64 and 81 stop at 1/4, 1/4, 11/9
+        assert sigma_p(make_instance(coeffs=(1, 1, 1), m0=m0, center=SPHERE_CENTER), p).value == want
+
+    @pytest.mark.parametrize("m0,p", [(7**4, 7), (5**4, 5)])
+    def test_threshold_beyond_box_refused(self, m0, p):
+        # stable only from level 5, whose p^6 check exceeds the box bound:
+        # refused, not the unstabilized 55/49 and 29/25
+        inst = ProblemInstance(QForm.diagonal(1, 1, 1), m0, 10007, 0, CongruenceDatum(1, (0, 0, 0)))
+        with pytest.raises(ValueError, match=f"p={p} "):
+            sigma_p(inst, p)
+
     def test_densities_positive_for_solvable(self, hyp3):
         for p in (5, 7, 11, 13):
             assert sigma_p(hyp3, p).value > 0
@@ -330,6 +351,58 @@ class TestSingularSeries:
         s = singular_series(inst, p_max=100)
         assert s.value == 0.0
         assert s.obstructed_at == 2
+
+
+    def test_euler_factors_carry_the_l_value_character(self):
+        # sphere, m0 = 3: d0 = -3, so chi(2) = -1 where (-3 / 2) as a Jacobi
+        # symbol would read 0; every factor, the cone's at p0 included, is
+        # (1 - chi(p)/p) sigma_p with the chi that L(1, chi) sums
+        inst = make_instance(coeffs=(1, 1, 1), m0=3, center=SPHERE_CENTER)
+        s = singular_series(inst, p_max=50)
+        assert [p for p, _ in s.factors] == primes_up_to(50)
+        for (p, f), d in zip(s.factors, s.densities, strict=True):
+            assert f == (1.0 - kronecker_value(-3, p) / p) * float(d.value), p
+        assert dict(s.factors)[2] == 1.5 * float(s.densities[0].value)
+
+
+# (coefficients, n): one-class genera, and n covering square-full m0 at the
+# ramified primes (16, 64 at 2; 81 at 3; 147 at 7)
+SIEGEL_CASES = [((1, 1, 1), n) for n in (1, 2, 3, 6, 16, 64, 81, 147, 294)] + [
+    ((1, 1, 2), 9), ((1, 1, 2), 16), ((1, 1, 3), 25),
+]
+
+
+@pytest.mark.parametrize("coeffs,n", SIEGEL_CASES,
+                         ids=[f"{''.join(map(str, c))}-{n}" for c, n in SIEGEL_CASES])
+def test_siegel_one_class_genera(coeffs, n):
+    """Siegel's formula on a one-class genus: r(n) = sigma_inf prod_p sigma_p,
+    the product taken as L(1, chi) prod_(p <= P) (1 - chi(p)/p) sigma_p with
+    sigma_inf = 2 pi sqrt(n / det).  Every p > P is clean, where
+    (1 - chi/p)(1 + chi/p) = 1 - 1/p^2, so the ratio lies in [1 - 1/P, 1]
+    up to rounding."""
+    P = 2000
+    form = QForm.diagonal(*coeffs)
+    b = math.isqrt(n)
+    r = sum(1 for x in itertools.product(range(-b, b + 1), repeat=3) if form(x) == n)
+    # p0 = 10007 > P never enters the product
+    inst = ProblemInstance(form, n, 10007, 0, CongruenceDatum(1, (0, 0, 0)))
+    d0 = _fundamental_discriminant(-n * form.det())
+    product = L_one_psi0(form, n)
+    for p in primes_up_to(P):
+        product *= (1 - kronecker_value(d0, p) / p) * float(sigma_p(inst, p).value)
+    ratio = r / (2 * math.pi * math.sqrt(n / form.det()) * product)
+    assert 1 - 1 / P <= ratio <= 1 + 1e-12, ratio
+
+
+class TestKroneckerValue:
+    @pytest.mark.parametrize("d0", [-3, -4, -7, -8, -15, -24, 5, 12, 13])
+    def test_matches_jacobi_at_odd_n(self, d0):
+        for n in range(1, 400, 2):
+            assert kronecker_value(d0, n) == jacobi(d0, n), n
+
+    @pytest.mark.parametrize("d0,want", [(-3, -1), (-7, 1), (-4, 0), (-8, 0), (-24, 0)])
+    def test_value_at_two(self, d0, want):
+        assert kronecker_value(d0, 2) == want
 
 
 class TestLValue:

@@ -510,15 +510,17 @@ class TestPredictions:
         inst = make_instance(coeffs=(1, 1, 1), p0=5, center=(c, c, c))
         rep = predict_main(inst, h_values=(1, 2, 3))
         assert not rep.square_disc
-        assert set(rep.predictions) == {"main_sqrtN", "main_sqrtN_lvalue"}
+        assert set(rep.predictions) == {"main_sqrtN_lvalue"}
         assert rep.l_value == pytest.approx(math.pi / 4, abs=1e-8)
+        base = rep.singular_integral * rep.series.value * rep.l_value
+        assert rep.predictions["main_sqrtN_lvalue"] == tuple(base * 5**h for h in (1, 2, 3))
 
     def test_obstructed_prediction_zero(self):
         c = 1 / 3**0.5
         inst = make_instance(coeffs=(1, 1, 1), p0=5, L=2, lam=(1, 1, 1), center=(c, c, c))
         rep = predict_main(inst, h_values=(1, 2, 3))
         assert rep.series.obstructed_at == 2
-        assert all(v == 0.0 for v in rep.predictions["main_sqrtN"])
+        assert all(v == 0.0 for v in rep.predictions["main_sqrtN_lvalue"])
         assert all(g == 0.0 for g in rep.gammas)
 
     def test_synthetic_constant_residual(self, report):
@@ -534,7 +536,8 @@ class TestPredictions:
 
     def test_extract_secondary(self, report):
         sec = extract_secondary(report)
-        assert sec["candidate"] == "main_sqrtN_logsqrtN"
+        assert sec["main_term"] == "main_sqrtN_logsqrtN"
+        assert sec["residuals"] == list(report.residuals["main_sqrtN_logsqrtN"])
         assert len(sec["residuals"]) == 3
         assert len(sec["consecutive_drifts"]) == 2
         assert sec["max_abs_residual"] >= max(abs(r) for r in sec["residuals"]) - 1e-15

@@ -1,4 +1,4 @@
-"""Quadratic forms, duals, characters, and problem instances."""
+"""Quadratic forms, duals, classification, and problem instances."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from qdelta.qform import (
     classify_c,
     evaluate,
     form_values,
-    psi0,
     residue_rows,
 )
 
@@ -86,19 +85,6 @@ class TestQForm:
         form = QForm.diagonal(1, 1, 1)
         with pytest.raises(OverflowError):
             evaluate(form, (2**64, 0, 0))
-
-
-class TestPsi0:
-    def test_square_flag(self):
-        assert psi0(QForm.diagonal(1, 1, -1), 1).square  # disc -m0 det = 1
-        assert not psi0(QForm.diagonal(1, 1, 1), 1).square  # disc -1
-
-    def test_character_values(self):
-        chi = psi0(QForm.diagonal(1, 1, 1), 1)  # disc -1: chi(n) = jacobi(-1, n)
-        assert chi(1) == 1
-        assert chi(3) == -1
-        assert chi(5) == 1
-        assert chi(2) == 0  # even argument not coprime to 2*disc convention
 
 
 class TestCongruence:
