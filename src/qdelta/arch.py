@@ -3,12 +3,11 @@ integrals and the singular integral.
 
 Every integrand is w(t) g(F(t) - m0) on a tensor grid; w and F are evaluated
 by broadcasting the three 1-D axes (np.ix_), never on a stacked point array.
-Two node rules span the grids: tensor Gauss-Legendre for osc_integral (the
-oracle of the expansion's integrals) and the singular integral, and the
-uniform trapezoid rule for the expansion side (pipeline.poisson_rhs).  Its
-amplitude vanishes with all its derivatives on the box edge, so the trapezoid
-rule converges spectrally with about 2 nodes per phase cycle.  The kernel
-amplitude and the singular integral's Gaussian mollifier both walk their
+Every oscillatory integral (osc_integral, pipeline.poisson_rhs) is a uniform
+trapezoid sum: its amplitude vanishes with all its derivatives on the box
+edge, so the rule converges spectrally with about 2 nodes per phase cycle.
+Gauss-Legendre serves the singular integral (mollifier and coarea).  The
+kernel amplitude and the singular integral's Gaussian mollifier walk their
 grids in slabs of at most _SLAB_POINTS grid points (_slabs), each cropped to
 the x2 and x3 nodes of the weight support's widest cross-section over the
 slab's x1 rows (_support_slabs): w, F and h are evaluated only on that
@@ -305,18 +304,16 @@ def delta_symbol(kernel: DeltaKernel, n: int, q_max: int | None = None) -> float
 # ---------------------------------------------------------------------------
 
 
-# Uniform trapezoid rule of the expansion side (poisson_rhs): its integrand
+# Uniform trapezoid rule of every oscillatory integral: its integrand
 # w(t) h(r, F(t) - m0) is smooth and vanishes with all its derivatives on the
 # edge of the support box, so the rule converges spectrally and needs about
 # 2 nodes per phase cycle and 1 per amplitude feature, against 7 and 5 for
 # tensor Gauss-Legendre.
 _TRAPEZOID_PER_CYCLE = 2
 _TRAPEZOID_PER_FEATURE = 1
-# tensor Gauss-Legendre rule of osc_integral: nodes per phase cycle and per
-# amplitude feature, and the ratio of its error grid's node count to its own
-_GL_PER_CYCLE = 7
-_GL_PER_FEATURE = 5
-_GL_REFINE = 1.35
+# osc_integral's two grids: the ratio of the finer grid's node count to the
+# coarser one's (the value comes from the finer, the error from their gap)
+_ERROR_GRID_RATIO = 1.35
 # singular_integral's first mollifier width, per unit of max(1, |m0|)
 _MOLLIFIER_EPS0 = 0.2
 
@@ -334,13 +331,9 @@ _SLAB_POINTS = 1 << 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts per axis for the two quadrature rules.
-
-    `nodes_for` is the tensor Gauss-Legendre rule of osc_integral and
-    `trapezoid_nodes_for` the uniform trapezoid rule of
-    pipeline.poisson_rhs, each with the fixed per-cycle and per-feature
-    constants above.  base_nodes and max_nodes bound both; singular_integral
-    reads max_nodes only."""
+    """Node counts per axis of every oscillatory integral's trapezoid grid
+    (trapezoid_nodes_for), bounded by base_nodes and max_nodes;
+    singular_integral's Gauss-Legendre ladder reads max_nodes only."""
 
     base_nodes: int = 24
     max_nodes: int = 320
@@ -351,18 +344,11 @@ class QuadratureSpec:
         if self.base_nodes > self.max_nodes:
             raise ValueError(f"base_nodes {self.base_nodes} exceeds max_nodes {self.max_nodes}")
 
-    def nodes_for(self, cycles: float, features: float = 0.0) -> int:
-        """Gauss-Legendre node count resolving `cycles` phase oscillations
-        plus `features` amplitude features per axis (the kernel amplitude
-        varies on the scale r in its second argument, which is much finer
-        than the phase for small r)."""
-        return self._rule(_GL_PER_CYCLE * cycles + _GL_PER_FEATURE * features)
-
     def trapezoid_nodes_for(self, cycles: float, features: float = 0.0) -> int:
-        """Trapezoid node count for the same `cycles` and `features`."""
-        return self._rule(_TRAPEZOID_PER_CYCLE * cycles + _TRAPEZOID_PER_FEATURE * features)
-
-    def _rule(self, demand: float) -> int:
+        """Nodes resolving `cycles` phase oscillations plus `features`
+        amplitude features per axis (the kernel amplitude varies on the scale
+        r in its second argument, much finer than the phase for small r)."""
+        demand = _TRAPEZOID_PER_CYCLE * cycles + _TRAPEZOID_PER_FEATURE * features
         return min(self.max_nodes, max(self.base_nodes, int(math.ceil(demand)) + 8))
 
 
@@ -446,13 +432,11 @@ def _amplitude_grid(
     nodes: tuple[int, int, int],
     factors,
     yscale: float = 1.0,
-    *,
-    box=_gl_box,
 ) -> np.ndarray | None:
     """U[a, b, c] = sum_ijk P0[a, i] P1[b, j] P2[c, k] A[i, j, k] for the
-    weighted kernel amplitude A = w(t) h(r, yscale*(F(t)-m0)) on the tensor
-    grid `box(weight, nodes)` (Gauss-Legendre by default, or _trapezoid_box)
-    over the weight support box, with the complex factors
+    weighted kernel amplitude A = w(t) h(r, yscale*(F(t)-m0)) on the
+    trapezoid grid _trapezoid_box(weight, nodes) over the weight support
+    box, with the complex factors
     (P0, P1, P2) = factors(axes, axis weights); None when A is 0 everywhere.
     yscale != 1 arises when the kernel scale is decoupled from the
     geometric scale sqrt(N)/L.
@@ -466,7 +450,7 @@ def _amplitude_grid(
     complex (n0, n1, m2) intermediate: A is 0 outside the crops.  Then x2
     (complex matmuls per x1 node) and x1 (one complex GEMM) follow, so
     memory is O(slab + m2 n0 n1 + m1 m2 n0)."""
-    axes, wts = box(instance.weight, nodes)
+    axes, wts = _trapezoid_box(instance.weight, nodes)
     p0, p1, p2 = factors(axes, wts)
     n0, n1, _ = nodes
     # P2^T as float64 columns (Re, Im) per row of P2: a real slab times its
@@ -496,12 +480,6 @@ def _amplitude_grid(
     return (p0 @ t.reshape(n0, -1)).reshape(len(p0), len(p1), -1)
 
 
-def osc_cycles(instance: ProblemInstance, r: float, b) -> float:
-    """Oscillation count of e_r(-b.t) across the weight support per axis."""
-    width = 2.0 * instance.weight.radius
-    return max(abs(float(bi)) for bi in b) * width / r if any(b) else 0.0
-
-
 def osc_integral(
     instance: ProblemInstance,
     r: float,
@@ -509,8 +487,9 @@ def osc_integral(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[complex, float]:
     """I_r(w; b) = int w(t) h(r, F(t)-m0) e_r(-b.t) dt, h at scale max(Q, 1 + 1e-9),
-    with an error estimate from a second grid: a refined one, or at the node
-    cap a coarser one (the value then comes from the capped grid)."""
+    on trapezoid grids: the value on one _ERROR_GRID_RATIO times finer than
+    trapezoid_nodes_for asks and the error from the rule's own, or at the
+    node cap the value on the capped grid and the error from a coarser one."""
     if r <= 0:
         raise ValueError("r must be positive")
     kernel = DeltaKernel(Q=max(float(instance.Q), 1.0 + 1e-9))
@@ -522,12 +501,13 @@ def osc_integral(
         u = _amplitude_grid(instance, kernel, r, (n, n, n), factors)
         return 0j if u is None else u.item()
 
-    n = quad.nodes_for(osc_cycles(instance, r, b), 2.0 * form_range(instance) / r)
-    fine = min(quad.max_nodes, int(math.ceil(n * _GL_REFINE)) + 1)
+    cycles = max(abs(float(bi)) for bi in b) * 2.0 * instance.weight.radius / r
+    n = quad.trapezoid_nodes_for(cycles, 2.0 * form_range(instance) / r)
+    fine = min(quad.max_nodes, int(math.ceil(n * _ERROR_GRID_RATIO)) + 1)
     if fine > n:
         n, other = fine, n
     else:
-        other = int(math.ceil(n / _GL_REFINE))
+        other = int(math.ceil(n / _ERROR_GRID_RATIO))
     val = value(n)
     return val, abs(val - value(other))
 
@@ -670,3 +650,17 @@ def form_range(instance: ProblemInstance) -> float:
     axes = np.ix_(*(np.linspace(float(lo[i]), float(hi[i]), 33) for i in range(3)))
     y = np.abs(form_values(instance.form, *axes) - instance.m0)
     return 1.05 * float(y.max())
+
+
+def form_range_bound(instance: ProblemInstance) -> float:
+    """A proven bound on |F(t) - m0| where w(t) > 0: with c the center, M the
+    Gram matrix and rho the radius of a ball holding the support (times
+    sqrt(3) for a box), F(c + d) = F(c) + 2 d.Mc + d.Md gives
+    |F(c) - m0| + 2 rho |Mc|_2 + rho^2 max_i sum_j |M_ij| (Gershgorin bounds
+    |M|_2 by that row sum), rounded up by 1e-12 relative over float rounding."""
+    w = instance.weight
+    rho = w.radius * (math.sqrt(3.0) if w.profile == "box" else 1.0)
+    gram = np.asarray(instance.form.gram(), dtype=np.float64)
+    mc = gram @ np.asarray(w.center)
+    bound = abs(float(mc @ w.center) - instance.m0) + 2.0 * rho * float(np.linalg.norm(mc))
+    return (bound + rho * rho * float(np.abs(gram).sum(axis=1).max())) * (1.0 + 1e-12)

@@ -158,7 +158,7 @@ def build_instance(cfg: dict[str, str]) -> ProblemInstance:
 
 
 def quad_from_config(cfg: dict[str, str]) -> QuadratureSpec:
-    # the expansion's trapezoid rule fixes its node density; the retired
+    # the oscillatory integrals' trapezoid rule fixes its node density; the retired
     # Gauss-Legendre density keys are refused rather than ignored
     for key in ("quad_nodes_per_cycle", "quad_nodes_per_feature"):
         if key in cfg:

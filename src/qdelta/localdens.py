@@ -40,6 +40,8 @@ from .qform import ProblemInstance, QForm, residue_rows
 
 _BOX_BOUND = 10**4  # largest p^k enumerated directly
 _CELL_BUDGET = 3 * 10**8
+# residue cells per block of _count_sheets: 512 KiB per int64 temporary
+_SHEET_BLOCK_CELLS = 1 << 16
 # B_2k / (2k) for k = 1..8, the coefficients of 1/x^2k in digamma's
 # asymptotic series
 _DIGAMMA_COEFFS = (
@@ -85,33 +87,27 @@ class SingularSeries:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_count_table(p: int, k: int) -> "np.ndarray":
-    """count[d] = #{u mod p^k : u^2 = d mod p^k} for odd p, vectorizable."""
-    pk = p**k
-    table = np.zeros(pk, dtype=np.int64)
-    u = np.arange(pk, dtype=np.int64)
-    np.add.at(table, (u * u) % pk, 1)
-    return table
-
-
 def _count_sheets(form: QForm, target: int, p: int, k: int, axis: int) -> int:
     """Count {F = target mod p^k} by completing the square in x_axis, whose
     diagonal coefficient is a unit mod the odd prime p.
 
     For unit a and odd p, a x^2 + b x + c = 0 mod p^k has as many roots as
-    u^2 = b^2 - 4ac does, via u = 2ax + b.
+    u^2 = b^2 - 4ac = A x1^2 + B x1 x2 + C x2^2 + D does, via u = 2ax + b
+    (x3 the unit variable), in blocks of x2 rows of about _SHEET_BLOCK_CELLS cells.
     """
     # permute so the unit-diagonal variable is x3
     perm = {0: (1, 2, 0), 1: (0, 2, 1), 2: (0, 1, 2)}[axis]
     b11, b22, b33, b12, b13, b23 = form.permuted(perm).coefficients()
     pk = p**k
-    table = _sqrt_count_table(p, k)
-    x1 = np.arange(pk, dtype=np.int64)
+    x = np.arange(pk, dtype=np.int64)
+    table = np.bincount(x * x % pk, minlength=pk)
+    row = ((b13 * b13 - 4 * b33 * b11) % pk * x % pk * x + 4 * b33 * target % pk) % pk
+    cross = (2 * b13 * b23 - 4 * b33 * b12) % pk * x % pk
+    col = (b23 * b23 - 4 * b33 * b22) % pk * x % pk * x % pk
+    rows = max(1, _SHEET_BLOCK_CELLS // pk)
     total = 0
-    for v2 in range(pk):
-        bb = (b13 * x1 + b23 * v2) % pk
-        cc = (b11 * x1 * x1 + b12 * x1 * v2 + b22 * v2 * v2 - target) % pk
-        disc = (bb * bb - 4 * b33 * cc) % pk
+    for i in range(0, pk, rows):
+        disc = (x[i : i + rows, None] * cross + row + col[i : i + rows, None]) % pk
         total += int(table[disc].sum())
     return total
 

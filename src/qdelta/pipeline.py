@@ -17,8 +17,10 @@ on the dual window, the cube |c|_inf <= c_max.  Per q, expsums.sqc_window
 (S1 in closed form times S2) gives S_q(c) first, on the sub-cube its support
 spans: the window rows whose slice of S_q(c) is not identically 0, closed
 under c -> -c.  A q without support is skipped before any amplitude is
-evaluated.  The oscillatory integral comes from arch on a per-q trapezoid
-grid (arch._trapezoid_box, with QuadratureSpec.trapezoid_nodes_for per q).
+evaluated, and the loop ends at the first q past the kernel's support over
+arch.form_range_bound, where every later amplitude is 0.  The oscillatory
+integral comes from arch on a per-q trapezoid grid (arch._trapezoid_box,
+with QuadratureSpec.trapezoid_nodes_for per q).
 Per q, e_{qL^2}(c.lam_N) I(c) on the sub-cube is one pass of
 arch._amplitude_grid, whose axis factors hold the supported rows only: each
 slab of the real kernel amplitude is contracted along x3 as soon as it is
@@ -48,8 +50,8 @@ from .arch import (
     SingularIntegral,
     _amplitude_grid,
     _axis_factors,
-    _trapezoid_box,
     form_range,
+    form_range_bound,
     singular_integral,
 )
 from .expsums import sqc_table_peak, sqc_window
@@ -366,8 +368,12 @@ def poisson_rhs(
     zero = exceptional = ordinary = 0j
     shell = 0.0
     terms_per_q = [0] * q_max
+    # past this kernel scale h(rk, y) = 0 wherever w > 0
+    rk_max = kernel.support_bound(yscale * form_range_bound(instance))
     for q, nodes in enumerate(nodes_per_q, 1):
         rk = q / Q  # kernel scale (amplitude)
+        if rk > rk_max:
+            break
         rp = q / Qgeo  # geometric scale (phase)
         qL = q * L
         qL2 = q * L * L
@@ -391,9 +397,7 @@ def poisson_rhs(
                 P[i] *= np.exp(2j * np.pi * ((freqs[i] * lam[i]) % qL2) / qL2)[:, None]
             return P
 
-        U = _amplitude_grid(
-            instance, kernel, rk, (nodes, nodes, nodes), factors, yscale, box=_trapezoid_box
-        )
+        U = _amplitude_grid(instance, kernel, rk, (nodes, nodes, nodes), factors, yscale)
         if U is None:
             continue
         # prefac S_q(c) U(c) / (qL)^3 in place, U mirrored onto c3 < 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdelta.arch import WeightSpec, _gl_box
+from qdelta.arch import WeightSpec, _trapezoid_box
 from qdelta.qform import CongruenceDatum, ProblemInstance, QForm, form_values
 
 HYP_CENTER = (1.25, 0.5, 0.9013878188659973)
@@ -27,7 +27,7 @@ def make_instance(
     return ProblemInstance(form, m0, p0, h, CongruenceDatum(L, lam), weight)
 
 
-def amplitude_oracle(inst, kernel, r, nodes, yscale=1.0, box=_gl_box):
+def amplitude_oracle(inst, kernel, r, nodes, yscale=1.0, box=_trapezoid_box):
     """(axes, axis weights, A) with the kernel amplitude
     A = w h(r, yscale (F - m0)) evaluated over the whole `box` grid at once:
     the full-grid oracle of arch._amplitude_grid's slab walk."""

@@ -80,6 +80,25 @@ def hensel_certified_literal(instance, p: int, k: int) -> bool:
     return True
 
 
+def count_sheets_loop(form: QForm, target: int, p: int, k: int, axis: int) -> int:
+    """The sheet count with one pass per x2 row, each computing b^2 - 4ac
+    from b = b13 x1 + b23 x2 and c = b11 x1^2 + b12 x1 x2 + b22 x2^2 -
+    target: the oracle for localdens._count_sheets."""
+    perm = {0: (1, 2, 0), 1: (0, 2, 1), 2: (0, 1, 2)}[axis]
+    b11, b22, b33, b12, b13, b23 = form.permuted(perm).coefficients()
+    pk = p**k
+    x1 = np.arange(pk, dtype=np.int64)
+    table = np.zeros(pk, dtype=np.int64)  # table[d]: the u mod p^k with u^2 = d
+    np.add.at(table, (x1 * x1) % pk, 1)
+    total = 0
+    for v2 in range(pk):
+        bb = (b13 * x1 + b23 * v2) % pk
+        cc = (b11 * x1 * x1 + b12 * x1 * v2 + b22 * v2 * v2 - target) % pk
+        disc = (bb * bb - 4 * b33 * cc) % pk
+        total += int(table[disc].sum())
+    return total
+
+
 @pytest.fixture(scope="module")
 def hyp3():
     """Hyperboloid with p0 = 3 (square-discriminant branch)."""
@@ -122,6 +141,22 @@ class TestCountSolutions:
                 if (form((x, y, z)) - 1) % p**2 == 0
             )
             assert fast == brute
+
+    @pytest.mark.parametrize("coeffs", [(1, 2, 3, 2, 0, 0), (3, 5, -7, 2, 4, -6),
+                                        (5, 3, 7, -6, 2, 4)])
+    @pytest.mark.parametrize("block", [None, 20], ids=["default", "20"])
+    def test_sheets_match_row_loop(self, monkeypatch, coeffs, block):
+        # the blocked binary-quadratic count against the per-row loop it
+        # replaced, on every unit axis at p = 3, 5, 7 and k = 1..3; blocks
+        # of 20 cells are one row, or a few rows with a partial last block
+        if block:
+            monkeypatch.setattr(localdens, "_SHEET_BLOCK_CELLS", block)
+        form = QForm(*coeffs)
+        for p, k in itertools.product((3, 5, 7), (1, 2, 3)):
+            for axis in (i for i, a in enumerate(coeffs[:3]) if a % p):
+                for target in (0, 1, -2, p, 5 * p * p):
+                    want = count_sheets_loop(form, target, p, k, axis)
+                    assert localdens._count_sheets(form, target, p, k, axis) == want, (p, k, axis)
 
     def test_congruence_restriction(self):
         # solutions of F = 1 mod 9 with x = (1,0,0) mod 3

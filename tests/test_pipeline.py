@@ -14,8 +14,8 @@ from qdelta.arch import (
     QuadratureSpec,
     WeightSpec,
     _amplitude_grid,
-    _trapezoid_box,
     form_range,
+    form_range_bound,
 )
 from qdelta.expsums import sqc_grid, sqc_table_peak, sqc_window
 from qdelta.pipeline import (
@@ -31,7 +31,7 @@ from qdelta.pipeline import (
     poisson_rhs,
     predict_main,
 )
-from qdelta.qform import CongruenceDatum, ProblemInstance, QForm, _classify_array
+from qdelta.qform import CongruenceDatum, ProblemInstance, QForm, _classify_array, form_values
 
 from conftest import amplitude_oracle, make_instance
 
@@ -379,6 +379,62 @@ class TestExpansionBookkeeping:
         assert exp.capped_q[0] == 1
         assert all(exp.nodes[q - 1] == 48 for q in exp.capped_q)
 
+    @pytest.mark.parametrize("kwargs, last", [(_CONGRUENCE, 5), (_OBSTRUCTED, 5), (_CROSS, 30)],
+                             ids=["congruence", "obstructed", "cross"])
+    def test_q_loop_ends_past_the_kernel_support(self, monkeypatch, kwargs, last):
+        # |F - m0| <= 2.304 on the congruence weight and 1.56 on the
+        # obstructed one, and yscale = 1/4, so h(q/5, y) = 0 there from q = 6
+        # on: sqc_window sees q = 1..5 only (1..30 on the cross form).
+        # Without the cut every field is the same
+        inst = make_instance(**kwargs)
+        quad = QuadratureSpec(max_nodes=48)
+        seen = []
+
+        def spy(instance, q, cvals):
+            seen.append(q)
+            return sqc_window(instance, q, cvals)
+
+        monkeypatch.setattr(pipeline, "sqc_window", spy)
+        exp = poisson_rhs(inst, c_max=8, quad=quad)
+        assert seen == list(range(1, last + 1)) and exp.q_max > last
+        monkeypatch.setattr(pipeline, "form_range_bound", lambda instance: math.inf)
+        full = poisson_rhs(inst, c_max=8, quad=quad)
+        assert seen[last:] == list(range(1, exp.q_max + 1))
+        assert exp == full
+
+    def test_form_range_bound_clears_the_amplitude(self):
+        # seeded random ball and box weights on forms with cross terms: the
+        # bound covers |F - m0| on the support, and at every q past the
+        # kernel's support over it the amplitude is 0 (None)
+        rng = np.random.default_rng(11)
+        kernel = DeltaKernel(Q=5.0)
+
+        def factors(axes, wts):
+            return [np.ones((1, len(x)), dtype=complex) for x in axes]
+
+        for trial in range(12):
+            while True:
+                coeffs = (*rng.integers(-3, 4, 3), *(2 * rng.integers(-2, 3, 3)))
+                try:
+                    form = QForm(*map(int, coeffs))
+                    break
+                except ValueError:
+                    continue
+            weight = WeightSpec(center=tuple(rng.uniform(-1.0, 1.0, 3)),
+                                radius=rng.uniform(0.2, 0.9), profile=("ball", "box")[trial % 2])
+            m0 = int(rng.integers(-4, 5)) or 1
+            inst = ProblemInstance(form, m0, 7, 0, CongruenceDatum(1, (0, 0, 0)), weight)
+            yscale = rng.uniform(0.3, 1.5)
+            bound = form_range_bound(inst)
+            axes = np.ix_(*(np.linspace(lo, hi, 41) for lo, hi in zip(*weight.support_box())))
+            inside = weight.values(*axes) > 0
+            assert np.abs(form_values(form, *axes) - inst.m0)[inside].max() <= bound
+            rk_max = kernel.support_bound(yscale * bound)
+            q0 = math.floor(rk_max * kernel.Q) + 1
+            assert q0 / kernel.Q > rk_max
+            for q in range(q0, q0 + 3):
+                amp = _amplitude_grid(inst, kernel, q / kernel.Q, (20, 20, 20), factors, yscale)
+                assert amp is None, (trial, q)
 
 
 def _tensordot_chain(instance, q_max, c_max, quad):
@@ -401,7 +457,7 @@ def _tensordot_chain(instance, q_max, c_max, quad):
         nodes = quad.trapezoid_nodes_for(
             2.0 * instance.weight.radius * c_max / (L * rp), 2.0 * yscale * form_range(instance) / rk
         )
-        axes, wts, amp = amplitude_oracle(instance, kernel, rk, (nodes,) * 3, yscale, _trapezoid_box)
+        axes, wts, amp = amplitude_oracle(instance, kernel, rk, (nodes,) * 3, yscale)
         qL, qL2 = q * L, q * L * L
         S = sqc_grid(instance, q)[C1 % qL, C2 % qL, C3 % qL]
         P = [np.exp(-2j * np.pi * np.outer(cvals / L, axes[i]) / rp) * wts[i] for i in range(3)]
@@ -426,8 +482,8 @@ class TestWindowContraction:
         kernel = DeltaKernel(Q=5.0)
         n, m = (9, 7, 11), (5, 8, 6)
         P = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in zip(m, n)]
-        got = _amplitude_grid(inst, kernel, 0.4, n, lambda axes, wts: P, 0.8, box=_trapezoid_box)
-        amp = amplitude_oracle(inst, kernel, 0.4, n, 0.8, _trapezoid_box)[2]
+        got = _amplitude_grid(inst, kernel, 0.4, n, lambda axes, wts: P, 0.8)
+        amp = amplitude_oracle(inst, kernel, 0.4, n, 0.8)[2]
         ref = np.einsum("ai,bj,ck,ijk->abc", *P, amp, optimize=False)
         assert np.count_nonzero(amp) > 50
         assert got.shape == m
